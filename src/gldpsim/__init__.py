@@ -8,8 +8,6 @@ from .datagen import (
     PartitionPlan,
     StageTask,
     apply_longtail,
-    export_partitions,
-    import_partitions,
     longtail_class_counts,
     make_synthetic_dataset,
     partition_clients,
@@ -47,21 +45,16 @@ from .model import (
     forward,
     grad_total,
     init_params,
-    load_params,
     local_update,
     loss_ce,
     loss_global_relation,
     loss_local_relation,
     loss_total,
-    save_params,
 )
 from .prototypes import (
     PrototypeStore,
     compute,
     inference_store,
-    predict,
-    store_from_csv,
-    store_to_csv,
     update_global,
     update_local,
 )

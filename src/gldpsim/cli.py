@@ -14,10 +14,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
-from .errors import ConfigError, DataError, ProtocolError, SimulationError
+from .errors import ConfigError, SimulationError
 from .datagen import DatasetSpec, PartitionPlan
 from .federation import ALGORITHMS, ExperimentConfig, run_experiment
 from .metrics import MetricsLog
@@ -37,116 +40,61 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# key -> (parser, description); order fixed for canonical printing
-_CONFIG_KEYS: dict[str, tuple] = {
-    "algorithm": (str, "GLDP | FedAvg | FedRep | FedProx"),
-    "rounds": (int, "global training rounds"),
-    "clients_per_round": (int, "clients selected per round"),
-    "num_clients": (int, "total clients"),
-    "classes_per_client": (int, "classes assigned to each client"),
-    "num_stages": (int, "stage tasks per client"),
-    "imbalance_factor": (float, "long-tail imbalance factor"),
-    "num_classes": (int, "classes in the dataset"),
-    "input_dim": (int, "input feature dimension"),
-    "samples_per_class": (int, "samples per class before long-tailing"),
-    "center_scale": (float, "class center spread"),
-    "noise_sigma": (float, "within-class noise"),
-    "hidden_dim": (int, "embedding dimension"),
-    "step_size": (float, "SGD step size"),
-    "shared_epochs": (int, "epochs on the shared layer"),
-    "head_epochs": (int, "epochs on the head"),
-    "weight_decay": (float, "SGD weight decay"),
-    "batch_size": (int, "mini-batch size"),
-    "lambda": (float, "mix of the local relation loss, in [0, 1]"),
-    "kl_temperature": (float, "softmax temperature of the local relation"),
-    "use_local_relation": (_parse_bool, "enable the local relation term"),
-    "use_global_relation": (_parse_bool, "enable the global relation term"),
-    "beta": (float, "prototype moving-average retention, in [0, 1]"),
-    "fedprox_mu": (float, "FedProx proximal coefficient"),
-    "inference": (str, "gp | lp"),
-    "seed": (int, "experiment seed"),
+# key -> (ExperimentConfig attribute path, parser, description); order fixed
+# for canonical printing
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object], str]] = {
+    "algorithm": ("algorithm", str, "GLDP | FedAvg | FedRep | FedProx"),
+    "rounds": ("rounds", int, "global training rounds"),
+    "clients_per_round": ("clients_per_round", int, "clients selected per round"),
+    "num_clients": ("plan.num_clients", int, "total clients"),
+    "classes_per_client": ("plan.classes_per_client", int, "classes assigned to each client"),
+    "num_stages": ("plan.num_stages", int, "stage tasks per client"),
+    "imbalance_factor": ("plan.imbalance_factor", float, "long-tail imbalance factor"),
+    "num_classes": ("dataset.num_classes", int, "classes in the dataset"),
+    "input_dim": ("dataset.input_dim", int, "input feature dimension"),
+    "samples_per_class": ("dataset.samples_per_class", int, "samples per class before long-tailing"),
+    "center_scale": ("dataset.class_center_scale", float, "class center spread"),
+    "noise_sigma": ("dataset.noise_sigma", float, "within-class noise"),
+    "hidden_dim": ("embedding_dim", int, "embedding dimension"),
+    "step_size": ("opt.step_size", float, "SGD step size"),
+    "shared_epochs": ("opt.shared_epochs", int, "epochs on the shared layer"),
+    "head_epochs": ("opt.head_epochs", int, "epochs on the head"),
+    "weight_decay": ("opt.weight_decay", float, "SGD weight decay"),
+    "batch_size": ("opt.batch_size", int, "mini-batch size"),
+    "lambda": ("weights.relation_mix", float, "mix of the local relation loss, in [0, 1]"),
+    "kl_temperature": ("weights.temperature", float, "softmax temperature of the local relation"),
+    "use_local_relation": ("weights.use_local_relation", _parse_bool, "enable the local relation term"),
+    "use_global_relation": ("weights.use_global_relation", _parse_bool, "enable the global relation term"),
+    "beta": ("proto_momentum", float, "prototype moving-average retention, in [0, 1]"),
+    "fedprox_mu": ("fedprox_coeff", float, "FedProx proximal coefficient"),
+    "inference": ("inference_mode", str, "gp | lp"),
+    "seed": ("seed", int, "experiment seed"),
 }
 
 
 def _config_to_values(config: ExperimentConfig) -> dict[str, object]:
-    return {
-        "algorithm": config.algorithm,
-        "rounds": config.rounds,
-        "clients_per_round": config.clients_per_round,
-        "num_clients": config.plan.num_clients,
-        "classes_per_client": config.plan.classes_per_client,
-        "num_stages": config.plan.num_stages,
-        "imbalance_factor": config.plan.imbalance_factor,
-        "num_classes": config.dataset.num_classes,
-        "input_dim": config.dataset.input_dim,
-        "samples_per_class": config.dataset.samples_per_class,
-        "center_scale": config.dataset.class_center_scale,
-        "noise_sigma": config.dataset.noise_sigma,
-        "hidden_dim": config.embedding_dim,
-        "step_size": config.opt.step_size,
-        "shared_epochs": config.opt.shared_epochs,
-        "head_epochs": config.opt.head_epochs,
-        "weight_decay": config.opt.weight_decay,
-        "batch_size": config.opt.batch_size,
-        "lambda": config.weights.relation_mix,
-        "kl_temperature": config.weights.temperature,
-        "use_local_relation": config.weights.use_local_relation,
-        "use_global_relation": config.weights.use_global_relation,
-        "beta": config.proto_momentum,
-        "fedprox_mu": config.fedprox_coeff,
-        "inference": config.inference_mode,
-        "seed": config.seed,
-    }
+    return {key: attrgetter(path)(config) for key, (path, _, _) in _CONFIG_KEYS.items()}
 
 
 def _values_to_config(values: dict[str, object]) -> ExperimentConfig:
+    """Build a config from key values; ``seed`` also keys the dataset and plan."""
+    fields: dict[str, dict[str, object]] = defaultdict(dict)
+    for key, (path, _, _) in _CONFIG_KEYS.items():
+        owner, _, attr = path.rpartition(".")
+        fields[owner][attr] = values[key]
+    seed = values["seed"]
     return ExperimentConfig(
-        algorithm=str(values["algorithm"]),
-        rounds=int(values["rounds"]),
-        clients_per_round=int(values["clients_per_round"]),
-        dataset=DatasetSpec(
-            num_classes=int(values["num_classes"]),
-            input_dim=int(values["input_dim"]),
-            samples_per_class=int(values["samples_per_class"]),
-            class_center_scale=float(values["center_scale"]),
-            noise_sigma=float(values["noise_sigma"]),
-            seed=int(values["seed"]),
-        ),
-        plan=PartitionPlan(
-            num_clients=int(values["num_clients"]),
-            classes_per_client=int(values["classes_per_client"]),
-            num_stages=int(values["num_stages"]),
-            imbalance_factor=float(values["imbalance_factor"]),
-            seed=int(values["seed"]),
-        ),
-        opt=OptimizerConfig(
-            step_size=float(values["step_size"]),
-            shared_epochs=int(values["shared_epochs"]),
-            head_epochs=int(values["head_epochs"]),
-            weight_decay=float(values["weight_decay"]),
-            batch_size=int(values["batch_size"]),
-        ),
-        weights=LossWeights(
-            relation_mix=float(values["lambda"]),
-            temperature=float(values["kl_temperature"]),
-            use_local_relation=bool(values["use_local_relation"]),
-            use_global_relation=bool(values["use_global_relation"]),
-        ),
-        embedding_dim=int(values["hidden_dim"]),
-        proto_momentum=float(values["beta"]),
-        fedprox_coeff=float(values["fedprox_mu"]),
-        inference_mode=str(values["inference"]),
-        seed=int(values["seed"]),
+        **fields[""],
+        dataset=DatasetSpec(**fields["dataset"], seed=seed),
+        plan=PartitionPlan(**fields["plan"], seed=seed),
+        opt=OptimizerConfig(**fields["opt"]),
+        weights=LossWeights(**fields["weights"]),
     )
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read a ``key = value`` config file, filling defaults for absent keys."""
-    values = _config_to_values(default_config())
+    values = _config_to_values(ExperimentConfig())
     path = Path(path)
     with open(path) as fh:
         lines = fh.readlines()
@@ -159,7 +107,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        parser, _ = _CONFIG_KEYS[key]
+        _, parser, _ = _CONFIG_KEYS[key]
         try:
             values[key] = parser(raw_value)
         except ValueError as exc:
@@ -208,17 +156,9 @@ class RunManifest:
     output_dir: str
     runs: list[dict] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seeds": self.seeds,
-            "output_dir": self.output_dir,
-            "runs": self.runs,
-        }
-
     def save(self, path: str | Path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
 
 
 def _aggregate_rows(logs: list[MetricsLog]) -> list[tuple[int, int, str, str, float, float]]:
@@ -402,6 +342,17 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
+def _env_flag(name: str) -> bool:
+    """Boolean environment mirror of a flag; unset or empty means off."""
+    raw = _env(name)
+    if not raw:
+        return False
+    try:
+        return _parse_bool(raw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {ENV_PREFIX}{name} value: {exc}") from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gldpsim",
@@ -431,13 +382,11 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(config_path)
             base_name = Path(config_path).stem
         else:
-            config = default_config()
+            config = ExperimentConfig()
             base_name = "experiment"
 
         algorithm = args.algorithm or _env("ALGORITHM")
         if algorithm is not None:
-            if algorithm not in ALGORITHMS:
-                raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
             config = replace(config, algorithm=algorithm)
         inference = args.inference or _env("INFERENCE")
         if inference is not None:
@@ -450,8 +399,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"invalid --seeds value {seeds_raw!r}: {exc}") from exc
 
         out_dir = args.out if args.out is not None else (_env("OUT") or "runs")
-        ablation = args.ablation if args.ablation is not None else _env("ABLATION") == "1"
-        emit_curves = args.emit_svg if args.emit_svg is not None else _env("EMIT_SVG") == "1"
+        ablation = args.ablation if args.ablation is not None else _env_flag("ABLATION")
+        emit_curves = args.emit_svg if args.emit_svg is not None else _env_flag("EMIT_SVG")
 
         if ablation:
             named = [(f"{base_name}_{v}", cfg) for v, cfg in ablation_variants(config)]
@@ -460,18 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         manifest = run(named, seeds, out_dir, emit_curves=emit_curves)
         print(f"wrote {len(manifest.runs)} run(s) to {manifest.output_dir}")
         return 0
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DataError.exit_code
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return ProtocolError.exit_code
     except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SimulationError.exit_code
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return _EXIT_IO

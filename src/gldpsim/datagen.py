@@ -8,12 +8,9 @@ time. All outputs are pure functions of (spec, plan, seed).
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +26,6 @@ _TAG_LONGTAIL = 21
 _TAG_PARTITION = 31
 
 _TRAIN_FRACTION = 0.8
-PARTITION_FORMAT = "gldpsim-partitions/1"
 
 
 def _require(cond: bool, message: str) -> None:
@@ -141,10 +137,6 @@ class StageTask:
                     f"stage {self.stage_index} {name} labels {sorted(present)} "
                     f"outside class set {sorted(self.class_set)}"
                 )
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.train)
 
 
 @dataclass
@@ -341,91 +333,3 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan) -> list[ClientTimel
             )
         timelines.append(ClientTimeline(client_id=i, stages=stages))
     return timelines
-
-
-def export_partitions(
-    timelines: list[ClientTimeline],
-    out_dir: str | Path,
-    spec: DatasetSpec,
-    plan: PartitionPlan,
-) -> Path:
-    """Write per-client, per-stage CSVs plus a manifest describing the build."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    input_dim = spec.input_dim
-    header = [f"f{j}" for j in range(input_dim)] + ["label"]
-    for timeline in timelines:
-        client_dir = out / f"client_{timeline.client_id:03d}"
-        client_dir.mkdir(exist_ok=True)
-        for stage in timeline.stages:
-            for split_name, part in (("train", stage.train), ("test", stage.test)):
-                path = client_dir / f"stage_{stage.stage_index}_{split_name}.csv"
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(header)
-                    for row, label in zip(part.inputs, part.labels):
-                        writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
-    manifest = {
-        "format": PARTITION_FORMAT,
-        "dataset": asdict(spec),
-        "plan": asdict(plan),
-        "num_clients": len(timelines),
-        "stage_classes": {
-            str(t.client_id): [sorted(s.class_set) for s in t.stages] for t in timelines
-        },
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return out
-
-
-def import_partitions(in_dir: str | Path) -> tuple[list[ClientTimeline], dict]:
-    """Load timelines written by :func:`export_partitions`.
-
-    Sample ids are regenerated sequentially; identity tracking is only
-    stable within one export/import session.
-    """
-    root = Path(in_dir)
-    with open(root / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != PARTITION_FORMAT:
-        raise DataError(f"unsupported partition format: {manifest.get('format')!r}")
-    input_dim = int(manifest["dataset"]["input_dim"])
-    stage_classes = manifest["stage_classes"]
-
-    next_id = 0
-
-    def read_split(path: Path) -> LabeledSet:
-        nonlocal next_id
-        inputs, labels = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                inputs.append([float(v) for v in row[:input_dim]])
-                labels.append(int(row[input_dim]))
-        count = len(labels)
-        ids = np.arange(next_id, next_id + count, dtype=np.int64)
-        next_id += count
-        if count == 0:
-            return empty_labeled_set(input_dim)
-        return LabeledSet(np.array(inputs, dtype=np.float64), np.array(labels, dtype=np.int64), ids)
-
-    timelines = []
-    for key in sorted(stage_classes, key=int):
-        client_id = int(key)
-        client_dir = root / f"client_{client_id:03d}"
-        stages = []
-        for j, classes in enumerate(stage_classes[key]):
-            train = read_split(client_dir / f"stage_{j + 1}_train.csv")
-            test = read_split(client_dir / f"stage_{j + 1}_test.csv")
-            stages.append(
-                StageTask(
-                    stage_index=j + 1,
-                    train=train,
-                    test=test,
-                    class_set=frozenset(int(c) for c in classes),
-                )
-            )
-        timelines.append(ClientTimeline(client_id=client_id, stages=stages))
-    return timelines, manifest

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .metrics import (
     forgetting,
 )
 from .model import (
+    CE_ONLY,
     LayerParams,
     LossWeights,
     ModelParams,
@@ -95,7 +98,6 @@ class ClientState:
     params: ModelParams
     local_protos: PrototypeStore
     timeline: ClientTimeline
-    current_stage: int = 0
 
 
 @dataclass
@@ -247,18 +249,12 @@ def baseline_update(
     fedprox_coeff: float = 0.0,
 ) -> ModelParams:
     """One client-side baseline update for FedAvg, FedRep, or FedProx."""
-    if mode == "FedAvg":
-        return joint_update(broadcast.copy(), stage, opt, rng)
-    if mode == "FedProx":
-        return joint_update(
-            broadcast.copy(), stage, opt, rng,
-            prox_anchor=broadcast, prox_coeff=fedprox_coeff,
-        )
+    if mode in ("FedAvg", "FedProx"):
+        coeff = fedprox_coeff if mode == "FedProx" else 0.0
+        return joint_update(broadcast, stage, opt, rng, prox_anchor=broadcast, prox_coeff=coeff)
     if mode == "FedRep":
-        started = ModelParams(shared=broadcast.shared.copy(), head=params.head.copy())
-        plain = LossWeights(use_local_relation=False, use_global_relation=False)
-        updated, _ = local_update(started, stage, {}, {}, opt, plain, rng)
-        return updated
+        started = ModelParams(shared=broadcast.shared, head=params.head)
+        return local_update(started, stage, {}, {}, opt, CE_ONLY, rng)[0]
     raise ConfigError(f"unknown baseline mode {mode!r}")
 
 
@@ -279,22 +275,21 @@ def run_stage(
     """
     algorithm = config.algorithm
     round_index = server.round_index
-    global_snapshot = server.global_protos.vectors()
-    uploads_shared: dict[int, LayerParams] = {}
-    uploads_head: dict[int, LayerParams] = {}
-    uploads_protos: dict[int, dict[int, np.ndarray]] = {}
-    participating: list[int] = []
+    full_model = aggregates_full_model(algorithm)
+    # One broadcast serves every client of the stage: training copies its
+    # inputs and aggregation replaces (never mutates) the server layers, so
+    # the logged payload stays a snapshot of what was sent.
+    down_payload: dict = {
+        "shared": server.shared,
+        "global_prototypes": server.global_protos.vectors(),
+    }
+    if full_model:
+        down_payload["head"] = server.head
+    uploads: dict[int, dict] = {}
 
     for cid in selected:
         client = clients[cid]
         stage = client.timeline.stages[stage_index - 1]
-
-        down_payload: dict = {
-            "shared": server.shared.copy(),
-            "global_prototypes": {c: v.copy() for c, v in global_snapshot.items()},
-        }
-        if aggregates_full_model(algorithm):
-            down_payload["head"] = server.head.copy()
         if message_log is not None:
             message_log.append(
                 RoundMessage("server_to_client", "server", cid, round_index, stage_index, down_payload)
@@ -310,53 +305,41 @@ def run_stage(
         rng = np.random.default_rng(
             [config.seed, _TAG_CLIENT, round_index, stage_index, cid]
         )
+        start = ModelParams(server.shared, server.head if full_model else client.params.head)
         if algorithm == "GLDP":
-            client.params.shared = down_payload["shared"].copy()
-            old_protos = client.local_protos.vectors()
             client.params, fresh = local_update(
-                client.params, stage, old_protos, down_payload["global_prototypes"],
+                start, stage, client.local_protos.vectors(), down_payload["global_prototypes"],
                 config.opt, config.weights, rng,
             )
-            counts = compute_counts(stage.train.labels)
             up_payload = {
                 "shared": client.params.shared.copy(),
                 "prototypes": {c: v.copy() for c, v in fresh.items()},
-                "class_counts": counts,
+                "class_counts": compute_counts(stage.train.labels),
             }
-            update_local(client.local_protos, fresh, counts)
-            uploads_protos[cid] = up_payload["prototypes"]
+            update_local(client.local_protos, fresh)
         else:
-            broadcast = ModelParams(
-                shared=down_payload["shared"].copy(),
-                head=(down_payload["head"].copy() if aggregates_full_model(algorithm)
-                      else client.params.head),
-            )
             client.params = baseline_update(
-                algorithm, client.params, broadcast, stage, config.opt, rng,
+                algorithm, client.params, start, stage, config.opt, rng,
                 fedprox_coeff=config.fedprox_coeff,
             )
             up_payload = {"shared": client.params.shared.copy()}
-            if aggregates_full_model(algorithm):
+            if full_model:
                 up_payload["head"] = client.params.head.copy()
 
-        client.current_stage = stage_index
         if message_log is not None:
             message_log.append(
                 RoundMessage("client_to_server", cid, "server", round_index, stage_index, up_payload)
             )
-        uploads_shared[cid] = up_payload["shared"]
-        if "head" in up_payload:
-            uploads_head[cid] = up_payload["head"]
-        participating.append(cid)
+        uploads[cid] = up_payload
 
-    if participating:
-        order = sorted(participating)
-        server.shared = aggregate_shared([uploads_shared[c] for c in order])
-        if aggregates_full_model(algorithm):
-            server.head = aggregate_shared([uploads_head[c] for c in order])
+    order = sorted(uploads)
+    if order:
+        server.shared = aggregate_shared([uploads[c]["shared"] for c in order])
+        if full_model:
+            server.head = aggregate_shared([uploads[c]["head"] for c in order])
         if algorithm == "GLDP":
-            update_global(server.global_protos, [(c, uploads_protos[c]) for c in order])
-    return sorted(participating)
+            update_global(server.global_protos, [(c, uploads[c]["prototypes"]) for c in order])
+    return order
 
 
 def initialize_experiment(
@@ -394,32 +377,39 @@ def run_round(
     config: ExperimentConfig,
     round_index: int,
     message_log: list[RoundMessage] | None = None,
+    after_stage: Callable[[int, list[int]], None] | None = None,
 ) -> list[int]:
-    """One global round: select clients, then walk every stage in order."""
+    """One global round: select clients, then walk every stage in order.
+
+    ``after_stage(stage_index, participants)`` runs after each stage's
+    aggregation. Returns the selected clients.
+    """
     server.round_index = round_index
     selected = select_clients(
         config.plan.num_clients, config.clients_per_round, config.seed, round_index
     )
     for stage_index in range(1, config.plan.num_stages + 1):
-        run_stage(server, clients, selected, stage_index, config, message_log)
+        participants = run_stage(server, clients, selected, stage_index, config, message_log)
+        if after_stage is not None:
+            after_stage(stage_index, participants)
     return selected
 
 
-def _client_scope(client: ClientState) -> set[int]:
-    scope: set[int] = set()
-    for stage in client.timeline.stages:
-        scope |= set(stage.class_set)
-    return scope
+def _client_store(
+    client: ClientState, server: ServerState, config: ExperimentConfig
+) -> PrototypeStore:
+    """The store a GLDP client predicts with; its scope is every class it holds."""
+    scope = set().union(*(stage.class_set for stage in client.timeline.stages))
+    return inference_store(
+        client.local_protos, server.global_protos, config.inference_mode, scope=scope
+    )
 
 
 def _client_sel_accuracy(
     client: ClientState, server: ServerState, config: ExperimentConfig, stage_index: int
 ) -> float | None:
     if config.algorithm == "GLDP":
-        store = inference_store(
-            client.local_protos, server.global_protos, config.inference_mode,
-            scope=_client_scope(client),
-        )
+        store = _client_store(client, server, config)
         return acc_sel_prototypes(client.params.shared, store, client.timeline, stage_index)
     return acc_sel_softmax(client.params, client.timeline, stage_index)
 
@@ -438,16 +428,7 @@ def _log_round_metrics(
 
     if algorithm == "GLDP":
         a_glo = acc_global(server.shared, server.global_protos, test_sets)
-        models = [
-            (
-                clients[c].params.shared,
-                inference_store(
-                    clients[c].local_protos, server.global_protos, config.inference_mode,
-                    scope=_client_scope(clients[c]),
-                ),
-            )
-            for c in order
-        ]
+        models = [(clients[c].params.shared, _client_store(clients[c], server, config)) for c in order]
         a_loc = acc_local(models, test_sets)
     else:
         if aggregates_full_model(algorithm):
@@ -485,17 +466,11 @@ def run_experiment(
         return mlog
 
     for round_index in range(1, config.rounds + 1):
-        server.round_index = round_index
-        selected = select_clients(
-            config.plan.num_clients, config.clients_per_round, config.seed, round_index
-        )
-        sel_history: dict[int, list[float]] = {cid: [] for cid in selected}
-        for stage_index in range(1, stage_count + 1):
-            participating = run_stage(
-                server, clients, selected, stage_index, config, message_log
-            )
+        sel_history: dict[int, list[float]] = defaultdict(list)
+
+        def log_sel(stage_index: int, participants: list[int]) -> None:
             stage_values = []
-            for cid in participating:
+            for cid in participants:
                 value = _client_sel_accuracy(clients[cid], server, config, stage_index)
                 if value is None:
                     continue
@@ -507,6 +482,8 @@ def run_experiment(
                     round_index, stage_index, algorithm, A_SELECTED, "ALL",
                     float(np.mean(stage_values)),
                 )
+
+        selected = run_round(server, clients, config, round_index, message_log, log_sel)
         drops = []
         for cid in selected:
             if sel_history[cid]:
@@ -575,10 +552,5 @@ def _payload_arrays(value) -> list[np.ndarray]:
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, dict):
-        out = []
-        for v in value.values():
-            out.extend(_payload_arrays(v))
-        return out
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return []
+        return [array for v in value.values() for array in _payload_arrays(v)]
     return []

@@ -114,6 +114,7 @@ def acc_global(
 def acc_global_softmax(
     params_per_client: Sequence[ModelParams], test_sets: Sequence[LabeledSet]
 ) -> float:
+    """Mean per-client softmax accuracy of the model given for each client."""
     return _mean(
         [accuracy_softmax(p, ts) for p, ts in zip(params_per_client, test_sets)]
     )
@@ -133,12 +134,8 @@ def acc_local(
     return _mean(values)
 
 
-def acc_local_softmax(
-    params_per_client: Sequence[ModelParams], test_sets: Sequence[LabeledSet]
-) -> float:
-    return _mean(
-        [accuracy_softmax(p, ts) for p, ts in zip(params_per_client, test_sets)]
-    )
+# A_glo passes the global model for every client, A_loc each client's own.
+acc_local_softmax = acc_global_softmax
 
 
 def acc_sel_prototypes(

@@ -39,18 +39,6 @@ class ModelParams:
     shared: LayerParams
     head: LayerParams
 
-    @property
-    def input_dim(self) -> int:
-        return int(self.shared.weight.shape[0])
-
-    @property
-    def embedding_dim(self) -> int:
-        return int(self.shared.weight.shape[1])
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.head.weight.shape[1])
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.shared.copy(), self.head.copy())
 
@@ -107,6 +95,10 @@ class LossWeights:
     @property
     def global_coeff(self) -> float:
         return (1.0 - self.relation_mix) if self.use_global_relation else 0.0
+
+
+# Cross-entropy alone: the loss of the baseline updates.
+CE_ONLY = LossWeights(use_local_relation=False, use_global_relation=False)
 
 
 def init_params(input_dim: int, embedding_dim: int, num_classes: int, seed_key) -> ModelParams:
@@ -277,6 +269,49 @@ def _sgd_step(layer: LayerParams, grad: LayerParams, step_size: float, weight_de
     layer.bias -= step_size * (grad.bias + weight_decay * layer.bias)
 
 
+def _train(
+    params: ModelParams,
+    stage: StageTask,
+    phases: tuple[tuple[tuple[str, ...], int], ...],
+    old_protos: dict[int, np.ndarray],
+    global_protos: dict[int, np.ndarray],
+    opt: OptimizerConfig,
+    weights: LossWeights,
+    rng: np.random.Generator,
+    prox_anchor: ModelParams | None = None,
+    prox_coeff: float = 0.0,
+) -> ModelParams:
+    """Minibatch SGD on a copy of ``params`` over ``(layers, epochs)`` phases.
+
+    Each step takes the full gradient and moves only the phase's layers
+    (``"shared"``/``"head"``), in order. With a proximal anchor, each stepped
+    layer is also pulled toward the anchor with strength ``prox_coeff``.
+    """
+    if len(stage.train) == 0:
+        raise DataError(f"stage {stage.stage_index} training set is empty")
+    params = params.copy()
+    inputs, labels = stage.train.inputs, stage.train.labels
+    n = len(labels)
+    prox = prox_anchor is not None and prox_coeff > 0.0
+
+    for layers, epochs in phases:
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, opt.batch_size):
+                sel = order[start : start + opt.batch_size]
+                grads = grad_total(
+                    params, inputs[sel], labels[sel], old_protos, global_protos, weights
+                )
+                for name in layers:
+                    layer, grad = getattr(params, name), getattr(grads, name)
+                    if prox:
+                        anchor = getattr(prox_anchor, name)
+                        grad.weight += prox_coeff * (layer.weight - anchor.weight)
+                        grad.bias += prox_coeff * (layer.bias - anchor.bias)
+                    _sgd_step(layer, grad, opt.step_size, opt.weight_decay)
+    return params
+
+
 def local_update(
     params: ModelParams,
     stage: StageTask,
@@ -292,26 +327,9 @@ def local_update(
     updated parameters and per-class prototypes of the full stage training
     set under the final shared layer.
     """
-    if len(stage.train) == 0:
-        raise DataError(f"stage {stage.stage_index} training set is empty")
-    params = params.copy()
-    inputs, labels = stage.train.inputs, stage.train.labels
-    n = len(labels)
-
-    for phase, epochs in (("shared", opt.shared_epochs), ("head", opt.head_epochs)):
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, opt.batch_size):
-                sel = order[start : start + opt.batch_size]
-                grads = grad_total(
-                    params, inputs[sel], labels[sel], old_protos, global_protos, weights
-                )
-                if phase == "shared":
-                    _sgd_step(params.shared, grads.shared, opt.step_size, opt.weight_decay)
-                else:
-                    _sgd_step(params.head, grads.head, opt.step_size, opt.weight_decay)
-
-    stage_protos = compute_prototypes(embed(params.shared, inputs), labels)
+    phases = ((("shared",), opt.shared_epochs), (("head",), opt.head_epochs))
+    params = _train(params, stage, phases, old_protos, global_protos, opt, weights, rng)
+    stage_protos = compute_prototypes(embed(params.shared, stage.train.inputs), stage.train.labels)
     return params, stage_protos
 
 
@@ -328,72 +346,5 @@ def joint_update(
     With a proximal anchor, each step also pulls every parameter toward the
     anchor with strength ``prox_coeff``.
     """
-    if len(stage.train) == 0:
-        raise DataError(f"stage {stage.stage_index} training set is empty")
-    params = params.copy()
-    inputs, labels = stage.train.inputs, stage.train.labels
-    n = len(labels)
-    plain = LossWeights(use_local_relation=False, use_global_relation=False)
-
-    for _ in range(opt.shared_epochs + opt.head_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, opt.batch_size):
-            sel = order[start : start + opt.batch_size]
-            grads = grad_total(params, inputs[sel], labels[sel], {}, {}, plain)
-            if prox_anchor is not None and prox_coeff > 0.0:
-                grads.shared.weight += prox_coeff * (params.shared.weight - prox_anchor.shared.weight)
-                grads.shared.bias += prox_coeff * (params.shared.bias - prox_anchor.shared.bias)
-                grads.head.weight += prox_coeff * (params.head.weight - prox_anchor.head.weight)
-                grads.head.bias += prox_coeff * (params.head.bias - prox_anchor.head.bias)
-            _sgd_step(params.shared, grads.shared, opt.step_size, opt.weight_decay)
-            _sgd_step(params.head, grads.head, opt.step_size, opt.weight_decay)
-    return params
-
-
-CHECKPOINT_FORMAT = "gldpsim-checkpoint/1"
-
-
-def save_params(params: ModelParams, path) -> None:
-    """Write a checkpoint: shape header plus one value per line (%.17g)."""
-    arrays = [
-        params.shared.weight,
-        params.shared.bias,
-        params.head.weight,
-        params.head.bias,
-    ]
-    with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_FORMAT}\n")
-        fh.write(f"{params.input_dim} {params.embedding_dim} {params.num_classes}\n")
-        for array in arrays:
-            for v in array.ravel():
-                fh.write(f"{v:.17g}\n")
-
-
-def load_params(path) -> ModelParams:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CHECKPOINT_FORMAT:
-            raise DataError(f"unsupported checkpoint format: {header!r}")
-        input_dim, embedding_dim, num_classes = (int(v) for v in fh.readline().split())
-        values = np.array([float(line) for line in fh], dtype=np.float64)
-    sizes = [
-        input_dim * embedding_dim,
-        embedding_dim,
-        embedding_dim * num_classes,
-        num_classes,
-    ]
-    if len(values) != sum(sizes):
-        raise DataError(
-            f"checkpoint holds {len(values)} values, expected {sum(sizes)} for shape header"
-        )
-    offsets = np.cumsum([0] + sizes)
-    return ModelParams(
-        shared=LayerParams(
-            values[offsets[0] : offsets[1]].reshape(input_dim, embedding_dim),
-            values[offsets[1] : offsets[2]],
-        ),
-        head=LayerParams(
-            values[offsets[2] : offsets[3]].reshape(embedding_dim, num_classes),
-            values[offsets[3] : offsets[4]],
-        ),
-    )
+    phases = ((("shared", "head"), opt.shared_epochs + opt.head_epochs),)
+    return _train(params, stage, phases, {}, {}, opt, CE_ONLY, rng, prox_anchor, prox_coeff)

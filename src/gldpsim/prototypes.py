@@ -8,9 +8,7 @@ by Euclidean distance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +18,6 @@ from .errors import ConfigError, ProtocolError
 @dataclass
 class PrototypeEntry:
     vector: np.ndarray
-    sample_weight: int = 0
 
 
 @dataclass
@@ -41,14 +38,8 @@ class PrototypeStore:
     def classes(self) -> list[int]:
         return sorted(self.entries)
 
-    def vector(self, class_index: int) -> np.ndarray:
-        return self.entries[class_index].vector
-
     def vectors(self) -> dict[int, np.ndarray]:
         return {c: self.entries[c].vector.copy() for c in self.classes()}
-
-    def __contains__(self, class_index: int) -> bool:
-        return class_index in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -61,9 +52,7 @@ class PrototypeStore:
     def copy(self) -> "PrototypeStore":
         return PrototypeStore(
             momentum=self.momentum,
-            entries={
-                c: PrototypeEntry(e.vector.copy(), e.sample_weight) for c, e in self.entries.items()
-            },
+            entries={c: PrototypeEntry(e.vector.copy()) for c, e in self.entries.items()},
         )
 
 
@@ -96,11 +85,7 @@ def compute_counts(labels: np.ndarray) -> dict[int, int]:
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def update_local(
-    store: PrototypeStore,
-    fresh: dict[int, np.ndarray],
-    counts: dict[int, int] | None = None,
-) -> PrototypeStore:
+def update_local(store: PrototypeStore, fresh: dict[int, np.ndarray]) -> PrototypeStore:
     """Fold freshly computed stage prototypes into a client's store.
 
     Classes already present are moving-averaged; new classes are inserted
@@ -108,13 +93,11 @@ def update_local(
     """
     for c in sorted(fresh):
         vector = np.asarray(fresh[c], dtype=np.float64)
-        weight = counts.get(c, 0) if counts else 0
         if c in store.entries:
             entry = store.entries[c]
             entry.vector = _blend(entry.vector, vector, store.momentum)
-            entry.sample_weight += weight
         else:
-            store.entries[c] = PrototypeEntry(vector.copy(), weight)
+            store.entries[c] = PrototypeEntry(vector.copy())
     return store
 
 
@@ -151,18 +134,13 @@ def update_global(
         if c in store.entries:
             entry = store.entries[c]
             entry.vector = _blend(entry.vector, fresh, store.momentum)
-            entry.sample_weight += len(by_class[c])
         else:
-            store.entries[c] = PrototypeEntry(fresh, len(by_class[c]))
+            store.entries[c] = PrototypeEntry(fresh)
     return store
 
 
-def predict(embedding: np.ndarray, store: PrototypeStore) -> int:
-    """Nearest-prototype class; ties break to the lowest class index."""
-    return int(predict_batch(np.asarray(embedding, dtype=np.float64)[None, :], store)[0])
-
-
 def predict_batch(embeddings: np.ndarray, store: PrototypeStore) -> np.ndarray:
+    """Nearest-prototype class per row; ties break to the lowest class index."""
     if not store.entries:
         raise ProtocolError("no prototypes available")
     classes = np.array(store.classes(), dtype=np.int64)
@@ -190,33 +168,11 @@ def inference_store(
     if mode == "lp":
         merged = PrototypeStore(momentum=local.momentum)
         for c, entry in local.entries.items():
-            merged.entries[c] = PrototypeEntry(entry.vector.copy(), entry.sample_weight)
+            merged.entries[c] = PrototypeEntry(entry.vector.copy())
         fallback = global_store.classes() if scope is None else sorted(scope)
         for c in fallback:
             if c not in merged.entries and c in global_store.entries:
                 entry = global_store.entries[c]
-                merged.entries[c] = PrototypeEntry(entry.vector.copy(), entry.sample_weight)
+                merged.entries[c] = PrototypeEntry(entry.vector.copy())
         return merged
     raise ConfigError(f"inference mode must be 'gp' or 'lp', got {mode!r}")
-
-
-def store_to_csv(store: PrototypeStore, path: str | Path) -> None:
-    """Serialize as rows of class,coord0..coord{H-1}."""
-    dim = store.dim() or 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class"] + [f"coord{j}" for j in range(dim)])
-        for c in store.classes():
-            vector = store.entries[c].vector
-            writer.writerow([c] + [f"{v:.17g}" for v in vector])
-
-
-def store_from_csv(path: str | Path, momentum: float = 0.5) -> PrototypeStore:
-    store = PrototypeStore(momentum=momentum)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            c = int(row[0])
-            store.entries[c] = PrototypeEntry(np.array([float(v) for v in row[1:]]))
-    return store

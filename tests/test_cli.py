@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -49,8 +50,60 @@ step_size = 0.02
 batch_size = 16
 """
 
+# Every config key with a non-default value and the ExperimentConfig
+# attribute it must set, in canonical print order.
+KEY_CASES = [
+    ("algorithm", "FedProx", "algorithm", "FedProx"),
+    ("rounds", "3", "rounds", 3),
+    ("clients_per_round", "5", "clients_per_round", 5),
+    ("num_clients", "30", "plan.num_clients", 30),
+    ("classes_per_client", "3", "plan.classes_per_client", 3),
+    ("num_stages", "4", "plan.num_stages", 4),
+    ("imbalance_factor", "10", "plan.imbalance_factor", 10.0),
+    ("num_classes", "8", "dataset.num_classes", 8),
+    ("input_dim", "12", "dataset.input_dim", 12),
+    ("samples_per_class", "50", "dataset.samples_per_class", 50),
+    ("center_scale", "3.5", "dataset.class_center_scale", 3.5),
+    ("noise_sigma", "1.5", "dataset.noise_sigma", 1.5),
+    ("hidden_dim", "32", "embedding_dim", 32),
+    ("step_size", "0.05", "opt.step_size", 0.05),
+    ("shared_epochs", "3", "opt.shared_epochs", 3),
+    ("head_epochs", "5", "opt.head_epochs", 5),
+    ("weight_decay", "0.001", "opt.weight_decay", 0.001),
+    ("batch_size", "16", "opt.batch_size", 16),
+    ("lambda", "0.25", "weights.relation_mix", 0.25),
+    ("kl_temperature", "2.0", "weights.temperature", 2.0),
+    ("use_local_relation", "false", "weights.use_local_relation", False),
+    ("use_global_relation", "no", "weights.use_global_relation", False),
+    ("beta", "0.75", "proto_momentum", 0.75),
+    ("fedprox_mu", "0.1", "fedprox_coeff", 0.1),
+    ("inference", "gp", "inference_mode", "gp"),
+    ("seed", "7", "seed", 7),
+]
+
+
+def with_attribute(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
+    if path == "seed":
+        return config.with_seed(value)
+    owner, _, attr = path.partition(".")
+    if not attr:
+        return replace(config, **{owner: value})
+    return replace(config, **{owner: replace(getattr(config, owner), **{attr: value})})
+
 
 class TestParseConfig:
+    def test_key_cases_cover_every_printed_key(self):
+        printed = [line.split(" = ")[0] for line in print_config(ExperimentConfig()).splitlines()]
+        assert [case[0] for case in KEY_CASES] == printed
+
+    @pytest.mark.parametrize("key, text, path, value", KEY_CASES, ids=[c[0] for c in KEY_CASES])
+    def test_each_key_sets_only_its_attribute(self, tmp_path, key, text, path, value):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        config = parse_config(cfg)
+        assert config != ExperimentConfig()
+        assert config == with_attribute(ExperimentConfig(), path, value)
+
     def test_minimal_file_fills_defaults(self, tmp_path):
         path = tmp_path / "min.cfg"
         path.write_text("algorithm = GLDP\n")
@@ -261,6 +314,26 @@ class TestMainEntry:
         )
         assert code == 0
         assert (tmp_path / "out" / "A_sel.svg").exists()
+
+    def test_boolean_env_mirrors_parse_like_config_booleans(self, tmp_path, monkeypatch, capsys):
+        path = write_fast_config(tmp_path)
+        monkeypatch.setenv("GLDPSIM_ABLATION", "true")
+        monkeypatch.setenv("GLDPSIM_EMIT_SVG", "yes")
+        assert main(["--config", str(path), "--out", str(tmp_path / "on")]) == 0
+        assert (tmp_path / "on" / "fast_no_relations_seed0.csv").exists()
+        assert (tmp_path / "on" / "A_sel.svg").exists()
+
+        monkeypatch.setenv("GLDPSIM_ABLATION", "false")
+        monkeypatch.setenv("GLDPSIM_EMIT_SVG", "0")
+        assert main(["--config", str(path), "--out", str(tmp_path / "off")]) == 0
+        assert (tmp_path / "off" / "fast_gldp_seed0.csv").exists()
+        assert not (tmp_path / "off" / "A_sel.svg").exists()
+
+        for name in ("GLDPSIM_ABLATION", "GLDPSIM_EMIT_SVG"):
+            monkeypatch.setenv(name, "maybe")
+            assert main(["--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+            assert name in capsys.readouterr().err
+            monkeypatch.delenv(name)
 
     def test_manifest_records_runs(self, tmp_path):
         path = write_fast_config(tmp_path)

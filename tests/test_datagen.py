@@ -8,8 +8,6 @@ from gldpsim.datagen import (
     PartitionPlan,
     StageTask,
     apply_longtail,
-    export_partitions,
-    import_partitions,
     longtail_class_counts,
     make_synthetic_dataset,
     partition_clients,
@@ -247,25 +245,6 @@ class TestPartitionClients:
                 four_class_data(),
                 PartitionPlan(num_clients=1, classes_per_client=2, num_stages=1),
             )
-
-
-class TestExportImport:
-    def test_round_trip(self, tmp_path):
-        spec = small_spec(seed=6)
-        data = make_synthetic_dataset(spec)
-        plan = PartitionPlan(num_clients=4, classes_per_client=3, num_stages=2, seed=6)
-        timelines = partition_clients(data, plan)
-        export_partitions(timelines, tmp_path / "parts", spec, plan)
-        loaded, manifest = import_partitions(tmp_path / "parts")
-        assert manifest["plan"]["num_clients"] == 4
-        assert len(loaded) == len(timelines)
-        for original, restored in zip(timelines, loaded):
-            assert restored.client_id == original.client_id
-            for s_orig, s_rest in zip(original.stages, restored.stages):
-                assert s_rest.class_set == s_orig.class_set
-                assert np.allclose(s_rest.train.inputs, s_orig.train.inputs)
-                assert np.array_equal(s_rest.train.labels, s_orig.train.labels)
-                assert np.allclose(s_rest.test.inputs, s_orig.test.inputs)
 
 
 class TestInvariantGuards:

@@ -389,6 +389,21 @@ class TestMessagesAndAudit:
         violations = audit_message_log(leaky, clients, "GLDP")
         assert any("labels" in v for v in violations)
 
+    @pytest.mark.parametrize("algorithm", ["GLDP", "FedAvg", "FedRep", "FedProx"])
+    def test_logged_payloads_are_snapshots(self, algorithm, tmp_path):
+        # Later rounds must not change what earlier messages recorded.
+        config = tiny_config(algorithm=algorithm, rounds=4)
+        server, clients = initialize_experiment(config)
+        messages = []
+        for k in (1, 2):
+            run_round(server, clients, config, k, messages)
+        dump_message_log(messages, tmp_path / "early.jsonl")
+        early = (tmp_path / "early.jsonl").read_text().splitlines()
+        for k in (3, 4):
+            run_round(server, clients, config, k, messages)
+        dump_message_log(messages, tmp_path / "all.jsonl")
+        assert (tmp_path / "all.jsonl").read_text().splitlines()[: len(early)] == early
+
     def test_message_log_dump_is_json_lines(self, tmp_path):
         config = tiny_config(rounds=1)
         messages, _ = self.run_with_log(config)

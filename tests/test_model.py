@@ -15,13 +15,11 @@ from gldpsim.model import (
     grad_total,
     init_params,
     joint_update,
-    load_params,
     local_update,
     loss_ce,
     loss_global_relation,
     loss_local_relation,
     loss_total,
-    save_params,
 )
 
 
@@ -394,20 +392,3 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ConfigError):
             LossWeights(temperature=0.0)
 
-
-class TestCheckpointRoundTrip:
-    def test_save_load_bit_identical(self, tmp_path):
-        params = init_params(6, 5, 4, [21, 22])
-        path = tmp_path / "model.ckpt"
-        save_params(params, path)
-        loaded = load_params(path)
-        assert np.array_equal(loaded.shared.weight, params.shared.weight)
-        assert np.array_equal(loaded.shared.bias, params.shared.bias)
-        assert np.array_equal(loaded.head.weight, params.head.weight)
-        assert np.array_equal(loaded.head.bias, params.head.bias)
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_text("something-else/9\n1 1 1\n")
-        with pytest.raises(DataError):
-            load_params(path)

@@ -7,10 +7,7 @@ from gldpsim.prototypes import (
     PrototypeStore,
     compute,
     inference_store,
-    predict,
     predict_batch,
-    store_from_csv,
-    store_to_csv,
     update_global,
     update_local,
 )
@@ -158,19 +155,19 @@ class TestUpdateGlobal:
 class TestPredict:
     def test_nearer_centroid_wins(self):
         store = store_with({0: [1.0, 0.0], 1: [5.0, 0.0]})
-        assert predict(np.array([0.0, 0.0]), store) == 0
+        assert predict_batch(np.array([[0.0, 0.0]]), store).tolist() == [0]
 
     def test_exact_match_wins(self):
         store = store_with({1: [1.0, 1.0], 3: [4.0, -2.0], 5: [0.0, 9.0]})
-        assert predict(np.array([4.0, -2.0]), store) == 3
+        assert predict_batch(np.array([[4.0, -2.0]]), store).tolist() == [3]
 
     def test_tie_breaks_to_lowest_class(self):
         store = store_with({0: [1.0, 0.0], 1: [-1.0, 0.0]})
-        assert predict(np.array([0.0, 0.0]), store) == 0
+        assert predict_batch(np.array([[0.0, 0.0]]), store).tolist() == [0]
 
     def test_empty_store_raises(self):
         with pytest.raises(ProtocolError, match="no prototypes available"):
-            predict(np.array([0.0]), PrototypeStore())
+            predict_batch(np.array([[0.0]]), PrototypeStore())
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
@@ -208,15 +205,3 @@ class TestStoreValidationAndCsv:
     def test_momentum_range(self):
         with pytest.raises(ConfigError):
             PrototypeStore(momentum=1.5)
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        store = store_with({c: rng.standard_normal(6).tolist() for c in (0, 3, 9)})
-        path = tmp_path / "protos.csv"
-        store_to_csv(store, path)
-        loaded = store_from_csv(path, momentum=store.momentum)
-        assert loaded.classes() == store.classes()
-        for c in store.classes():
-            assert np.array_equal(loaded.entries[c].vector, store.entries[c].vector)
-        header = path.read_text().splitlines()[0]
-        assert header == "class," + ",".join(f"coord{j}" for j in range(6))
