@@ -21,7 +21,6 @@ from .federation import (
     ServerState,
     aggregate_shared,
     audit_message_log,
-    baseline_update,
     dump_message_log,
     initialize_experiment,
     run_experiment,

@@ -234,9 +234,8 @@ def run(
                 fh.write(
                     f"{round_index},{stage_index},{algorithm},{metric},ALL,{mean!r},{std!r}\n"
                 )
-        # Mean curves keyed by config name so plots separate ablation variants.
-        for round_index, stage_index, _algorithm, metric, mean, _std in _aggregate_rows(logs):
-            combined.add(round_index, stage_index, name, metric, "ALL", mean)
+                # Mean curves keyed by config name so plots separate ablation variants.
+                combined.add(round_index, stage_index, name, metric, "ALL", mean)
 
     combined_path = out / "combined_mean.csv"
     combined.to_csv(combined_path)

@@ -8,6 +8,11 @@ The shared layer carries from one stage into the next within a round.
 
 FedAvg, FedRep, and FedProx run on the same state machine with different
 local updates, payloads, and inference.
+
+Only ``model._train`` writes into arrays, and only into the copy it makes
+on entry. All other arrays (parameters, prototypes, payloads, and the
+``LayerParams``/``ModelParams`` holding them) are shared by reference and
+never written in place or field by field, so logged messages stay snapshots.
 """
 
 from __future__ import annotations
@@ -84,12 +89,7 @@ class ServerState:
     round_index: int = 0
 
     def copy(self) -> "ServerState":
-        return ServerState(
-            shared=self.shared.copy(),
-            global_protos=self.global_protos.copy(),
-            head=self.head.copy() if self.head is not None else None,
-            round_index=self.round_index,
-        )
+        return replace(self, global_protos=self.global_protos.copy())
 
 
 @dataclass
@@ -217,8 +217,8 @@ def select_clients(num_clients: int, count: int, seed: int, round_index: int) ->
 def aggregate_shared(uploads: list[LayerParams]) -> LayerParams:
     """Coordinate-wise unweighted mean of uploaded layer parameters.
 
-    All-identical uploads short-circuit to an exact copy so that a
-    zero-step-size protocol round is a bit-exact fixed point regardless
+    All-identical uploads short-circuit to the first upload itself so that
+    a zero-step-size protocol round is a bit-exact fixed point regardless
     of the participant count.
     """
     if not uploads:
@@ -233,29 +233,10 @@ def aggregate_shared(uploads: list[LayerParams]) -> LayerParams:
         np.array_equal(up.weight, uploads[0].weight) and np.array_equal(up.bias, uploads[0].bias)
         for up in uploads[1:]
     ):
-        return uploads[0].copy()
+        return uploads[0]
     weight = np.mean(np.stack([u.weight for u in uploads]), axis=0)
     bias = np.mean(np.stack([u.bias for u in uploads]), axis=0)
     return LayerParams(weight, bias)
-
-
-def baseline_update(
-    mode: str,
-    params: ModelParams,
-    broadcast: ModelParams,
-    stage,
-    opt: OptimizerConfig,
-    rng: np.random.Generator,
-    fedprox_coeff: float = 0.0,
-) -> ModelParams:
-    """One client-side baseline update for FedAvg, FedRep, or FedProx."""
-    if mode in ("FedAvg", "FedProx"):
-        coeff = fedprox_coeff if mode == "FedProx" else 0.0
-        return joint_update(broadcast, stage, opt, rng, prox_anchor=broadcast, prox_coeff=coeff)
-    if mode == "FedRep":
-        started = ModelParams(shared=broadcast.shared, head=params.head)
-        return local_update(started, stage, {}, {}, opt, CE_ONLY, rng)[0]
-    raise ConfigError(f"unknown baseline mode {mode!r}")
 
 
 def run_stage(
@@ -276,9 +257,7 @@ def run_stage(
     algorithm = config.algorithm
     round_index = server.round_index
     full_model = aggregates_full_model(algorithm)
-    # One broadcast serves every client of the stage: training copies its
-    # inputs and aggregation replaces (never mutates) the server layers, so
-    # the logged payload stays a snapshot of what was sent.
+    # One broadcast serves every client of the stage (arrays are shared).
     down_payload: dict = {
         "shared": server.shared,
         "global_prototypes": server.global_protos.vectors(),
@@ -306,25 +285,26 @@ def run_stage(
             [config.seed, _TAG_CLIENT, round_index, stage_index, cid]
         )
         start = ModelParams(server.shared, server.head if full_model else client.params.head)
-        if algorithm == "GLDP":
+        if full_model:
+            coeff = config.fedprox_coeff if algorithm == "FedProx" else 0.0
+            client.params = joint_update(
+                start, stage, config.opt, rng, prox_anchor=start, prox_coeff=coeff
+            )
+            up_payload = {"shared": client.params.shared, "head": client.params.head}
+        else:
             client.params, fresh = local_update(
                 start, stage, client.local_protos.vectors(), down_payload["global_prototypes"],
-                config.opt, config.weights, rng,
+                config.opt, config.weights if algorithm == "GLDP" else CE_ONLY, rng,
             )
-            up_payload = {
-                "shared": client.params.shared.copy(),
-                "prototypes": {c: v.copy() for c, v in fresh.items()},
-                "class_counts": compute_counts(stage.train.labels),
-            }
+            up_payload = {"shared": client.params.shared}
+        if algorithm == "GLDP":
+            up_payload["prototypes"] = fresh
+            up_payload["class_counts"] = compute_counts(stage.train.labels)
             update_local(client.local_protos, fresh)
-        else:
-            client.params = baseline_update(
-                algorithm, client.params, start, stage, config.opt, rng,
-                fedprox_coeff=config.fedprox_coeff,
+        if not all(np.isfinite(a).all() for a in _payload_arrays(up_payload)):
+            raise ProtocolError(
+                f"round {round_index} stage {stage_index}: client {cid} update is not finite"
             )
-            up_payload = {"shared": client.params.shared.copy()}
-            if full_model:
-                up_payload["head"] = client.params.head.copy()
 
         if message_log is not None:
             message_log.append(
@@ -345,7 +325,7 @@ def run_stage(
 def initialize_experiment(
     config: ExperimentConfig,
 ) -> tuple[ServerState, dict[int, ClientState]]:
-    """Build data, timelines, and identically initialized client models."""
+    """Build data, timelines, and one initial model shared by every client."""
     data = make_synthetic_dataset(config.dataset)
     longtailed = apply_longtail(data, config.plan.imbalance_factor, config.plan.seed)
     timelines = partition_clients(longtailed, config.plan)
@@ -357,16 +337,16 @@ def initialize_experiment(
     clients = {
         t.client_id: ClientState(
             client_id=t.client_id,
-            params=init.copy(),
+            params=init,
             local_protos=PrototypeStore(momentum=config.proto_momentum),
             timeline=t,
         )
         for t in timelines
     }
     server = ServerState(
-        shared=init.shared.copy(),
+        shared=init.shared,
         global_protos=PrototypeStore(momentum=config.proto_momentum),
-        head=init.head.copy() if aggregates_full_model(config.algorithm) else None,
+        head=init.head if aggregates_full_model(config.algorithm) else None,
     )
     return server, clients
 

@@ -134,22 +134,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def loss_ce(logits: np.ndarray, labels: np.ndarray | int) -> float:
     """Mean cross-entropy, -log softmax(logits)[label]."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
+    return float(-log_softmax(logits)[np.arange(len(labels)), labels].mean())
 
 
 def loss_local_relation(
     old_proto: np.ndarray, new_proto: np.ndarray, temperature: float
 ) -> float:
-    """KL(softmax(old/T) || softmax(new/T)) between prototype distributions."""
-    p = softmax(np.asarray(old_proto, dtype=np.float64) / temperature)
-    q = softmax(np.asarray(new_proto, dtype=np.float64) / temperature)
-    return float(np.sum(p * (np.log(p) - np.log(q))))
+    """KL(softmax(old/T) || softmax(new/T)), from log-probabilities (finite at small T)."""
+    log_p = log_softmax(np.asarray(old_proto, dtype=np.float64) / temperature)
+    log_q = log_softmax(np.asarray(new_proto, dtype=np.float64) / temperature)
+    return float(np.sum(np.exp(log_p) * (log_p - log_q)))
 
 
 def loss_global_relation(
@@ -286,6 +289,10 @@ def _train(
     Each step takes the full gradient and moves only the phase's layers
     (``"shared"``/``"head"``), in order. With a proximal anchor, each stepped
     layer is also pulled toward the anchor with strength ``prox_coeff``.
+
+    The only writer of arrays in the package, and only into the copy of
+    ``params`` made on entry: every other array is shared by reference and
+    never written in place (see :mod:`gldpsim.federation`).
     """
     if len(stage.train) == 0:
         raise DataError(f"stage {stage.stage_index} training set is empty")

@@ -16,20 +16,16 @@ from .errors import ConfigError, ProtocolError
 
 
 @dataclass
-class PrototypeEntry:
-    vector: np.ndarray
-
-
-@dataclass
 class PrototypeStore:
     """Per-class prototype vectors with a moving-average blend coefficient.
 
     ``momentum`` is the weight kept on the existing vector when a class is
-    refreshed: new = momentum * old + (1 - momentum) * fresh.
+    refreshed: new = momentum * old + (1 - momentum) * fresh. Vectors are
+    shared, never written in place: a refresh replaces the dict value.
     """
 
     momentum: float = 0.5
-    entries: dict[int, PrototypeEntry] = field(default_factory=dict)
+    entries: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.momentum <= 1.0:
@@ -39,30 +35,23 @@ class PrototypeStore:
         return sorted(self.entries)
 
     def vectors(self) -> dict[int, np.ndarray]:
-        return {c: self.entries[c].vector.copy() for c in self.classes()}
+        """A new class-sorted dict of the (shared) vectors."""
+        return {c: self.entries[c] for c in self.classes()}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def dim(self) -> int | None:
-        for entry in self.entries.values():
-            return int(entry.vector.shape[0])
-        return None
-
     def copy(self) -> "PrototypeStore":
-        return PrototypeStore(
-            momentum=self.momentum,
-            entries={c: PrototypeEntry(e.vector.copy()) for c, e in self.entries.items()},
-        )
+        return PrototypeStore(self.momentum, dict(self.entries))
 
 
 def _blend(old: np.ndarray, fresh: np.ndarray, momentum: float) -> np.ndarray:
     # Degenerate coefficients must hold bit-exactly; the incremental form
     # plus clipping keeps the blend idempotent and coordinate-wise convex.
     if momentum == 0.0:
-        return fresh.copy()
+        return fresh
     if momentum == 1.0:
-        return old.copy()
+        return old
     blended = old + (1.0 - momentum) * (fresh - old)
     return np.clip(blended, np.minimum(old, fresh), np.maximum(old, fresh))
 
@@ -86,18 +75,14 @@ def compute_counts(labels: np.ndarray) -> dict[int, int]:
 
 
 def update_local(store: PrototypeStore, fresh: dict[int, np.ndarray]) -> PrototypeStore:
-    """Fold freshly computed stage prototypes into a client's store.
+    """Fold freshly computed prototypes into a store (client or server).
 
     Classes already present are moving-averaged; new classes are inserted
     verbatim; classes absent from ``fresh`` are left untouched.
     """
     for c in sorted(fresh):
-        vector = np.asarray(fresh[c], dtype=np.float64)
-        if c in store.entries:
-            entry = store.entries[c]
-            entry.vector = _blend(entry.vector, vector, store.momentum)
-        else:
-            store.entries[c] = PrototypeEntry(vector.copy())
+        old = store.entries.get(c)
+        store.entries[c] = fresh[c] if old is None else _blend(old, fresh[c], store.momentum)
     return store
 
 
@@ -108,35 +93,23 @@ def update_global(
     """Blend client prototype uploads into the server store.
 
     Per class, the fresh value is the plain mean over the uploading
-    clients. A class never seen before is added directly; otherwise the
-    store's moving average applies.
+    clients, folded in by :func:`update_local`. Every upload must match one
+    dim (the store's, or else the first uploaded vector's); a mismatch
+    raises before the store changes.
     """
+    dim = next((v.shape[0] for v in store.entries.values()), None)
     by_class: dict[int, list[np.ndarray]] = {}
     for client_id, protos in sorted(uploads, key=lambda u: u[0]):
         for c in sorted(protos):
             vec = np.asarray(protos[c], dtype=np.float64)
-            bucket = by_class.setdefault(int(c), [])
-            if bucket and bucket[0].shape != vec.shape:
+            dim = vec.shape[0] if dim is None else dim
+            if vec.shape != (dim,):
                 raise ProtocolError(
                     f"client {client_id} uploaded class {c} prototype with dim "
-                    f"{vec.shape[0]}, expected {bucket[0].shape[0]}"
+                    f"{vec.shape[0]}, expected {dim}"
                 )
-            bucket.append(vec)
-
-    dim = store.dim()
-    for c in sorted(by_class):
-        stacked = np.stack(by_class[c])
-        if dim is not None and stacked.shape[1] != dim:
-            raise ProtocolError(
-                f"class {c} prototype dim {stacked.shape[1]} does not match store dim {dim}"
-            )
-        fresh = stacked.mean(axis=0)
-        if c in store.entries:
-            entry = store.entries[c]
-            entry.vector = _blend(entry.vector, fresh, store.momentum)
-        else:
-            store.entries[c] = PrototypeEntry(fresh)
-    return store
+            by_class.setdefault(int(c), []).append(vec)
+    return update_local(store, {c: np.stack(v).mean(axis=0) for c, v in by_class.items()})
 
 
 def predict_batch(embeddings: np.ndarray, store: PrototypeStore) -> np.ndarray:
@@ -144,7 +117,7 @@ def predict_batch(embeddings: np.ndarray, store: PrototypeStore) -> np.ndarray:
     if not store.entries:
         raise ProtocolError("no prototypes available")
     classes = np.array(store.classes(), dtype=np.int64)
-    matrix = np.stack([store.entries[int(c)].vector for c in classes])
+    matrix = np.stack([store.entries[int(c)] for c in classes])
     gaps = embeddings[:, None, :] - matrix[None, :, :]
     distances = np.sqrt((gaps**2).sum(axis=-1))
     return classes[distances.argmin(axis=1)]
@@ -166,13 +139,7 @@ def inference_store(
     if mode == "gp":
         return global_store
     if mode == "lp":
-        merged = PrototypeStore(momentum=local.momentum)
-        for c, entry in local.entries.items():
-            merged.entries[c] = PrototypeEntry(entry.vector.copy())
-        fallback = global_store.classes() if scope is None else sorted(scope)
-        for c in fallback:
-            if c not in merged.entries and c in global_store.entries:
-                entry = global_store.entries[c]
-                merged.entries[c] = PrototypeEntry(entry.vector.copy())
-        return merged
+        fallback = global_store.classes() if scope is None else scope
+        merged = {c: global_store.entries[c] for c in fallback if c in global_store.entries}
+        return PrototypeStore(local.momentum, {**merged, **local.entries})
     raise ConfigError(f"inference mode must be 'gp' or 'lp', got {mode!r}")

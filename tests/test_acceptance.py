@@ -34,7 +34,6 @@ from gldpsim.federation import (
 from gldpsim.metrics import acc_sel_prototypes, forgetting
 from gldpsim.model import LossWeights, OptimizerConfig, grad_total
 from gldpsim.prototypes import (
-    PrototypeEntry,
     PrototypeStore,
     compute,
     update_global,
@@ -154,9 +153,9 @@ def test_criterion_2_prototype_algebra():
         old = rng.standard_normal(dim)
         fresh = rng.standard_normal(dim)
         store = PrototypeStore(momentum=momentum)
-        store.entries[0] = PrototypeEntry(old.copy())
+        store.entries[0] = old.copy()
         update_local(store, {0: fresh})
-        blended = store.entries[0].vector
+        blended = store.entries[0]
         worst = max(
             worst, float(np.abs(blended - (momentum * old + (1 - momentum) * fresh)).max())
         )
@@ -166,22 +165,22 @@ def test_criterion_2_prototype_algebra():
         # server blend vs the upload-mean formula
         uploads = [(i, {0: rng.standard_normal(dim)}) for i in range(int(rng.integers(1, 6)))]
         server = PrototypeStore(momentum=momentum)
-        server.entries[0] = PrototypeEntry(old.copy())
+        server.entries[0] = old.copy()
         update_global(server, uploads)
         mean = sum(p[0] for _, p in uploads) / len(uploads)
         want = momentum * old + (1 - momentum) * mean
-        worst = max(worst, float(np.abs(server.entries[0].vector - want).max()))
+        worst = max(worst, float(np.abs(server.entries[0] - want).max()))
 
     # degenerate coefficients hold bit-exactly
     vec_old, vec_new = rng.standard_normal(5), rng.standard_normal(5)
     keep = PrototypeStore(momentum=1.0)
-    keep.entries[0] = PrototypeEntry(vec_old.copy())
+    keep.entries[0] = vec_old.copy()
     update_local(keep, {0: vec_new})
-    exact_keep = np.array_equal(keep.entries[0].vector, vec_old)
+    exact_keep = np.array_equal(keep.entries[0], vec_old)
     swap = PrototypeStore(momentum=0.0)
-    swap.entries[0] = PrototypeEntry(vec_old.copy())
+    swap.entries[0] = vec_old.copy()
     update_local(swap, {0: vec_new})
-    exact_swap = np.array_equal(swap.entries[0].vector, vec_new)
+    exact_swap = np.array_equal(swap.entries[0], vec_new)
 
     ok = worst < 1e-12 and exact_keep and exact_swap
     report(2, "prototype-algebra", ok, f"100 instances, worst gap {worst:.2e}")
@@ -224,7 +223,7 @@ def test_criterion_4_fixed_point():
         identical &= reference.global_protos.classes() == later.global_protos.classes()
         for c in reference.global_protos.classes():
             identical &= np.array_equal(
-                reference.global_protos.entries[c].vector, later.global_protos.entries[c].vector
+                reference.global_protos.entries[c], later.global_protos.entries[c]
             )
     report(4, "fixed-point", identical, "server state bit-identical across 5 rounds")
     assert identical

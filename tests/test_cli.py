@@ -2,6 +2,7 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gldpsim.cli import (
@@ -269,6 +270,14 @@ class TestMainEntry:
         blocker.write_text("")
         code = main(["--config", str(path), "--out", str(blocker / "nested")])
         assert code == 5
+
+    def test_divergent_training_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "divergent.cfg"
+        path.write_text(FAST_FILE.replace("step_size = 0.02", "step_size = 1e200"))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "update is not finite" in capsys.readouterr().err
 
     def test_algorithm_override_flag(self, tmp_path):
         path = write_fast_config(tmp_path)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from gldpsim.federation import (
     RoundMessage,
     aggregate_shared,
     audit_message_log,
-    baseline_update,
     dump_message_log,
     initialize_experiment,
     run_experiment,
@@ -25,6 +25,7 @@ from gldpsim.model import (
     OptimizerConfig,
     grad_total,
     init_params,
+    joint_update,
 )
 
 
@@ -120,6 +121,16 @@ class TestAggregateShared:
 
 
 class TestRunStage:
+    @pytest.mark.parametrize("algorithm", ["GLDP", "FedAvg", "FedRep", "FedProx"])
+    def test_non_finite_update_is_protocol_error(self, algorithm):
+        config = tiny_config(algorithm=algorithm, opt=replace(tiny_config().opt, step_size=1e200))
+        server, clients = initialize_experiment(config)
+        server.round_index = 1
+        with np.errstate(all="ignore"), pytest.raises(
+            ProtocolError, match=r"^round 1 stage 1: client 0 update is not finite$"
+        ):
+            run_stage(server, clients, [0, 1, 2], 1, config)
+
     def test_zero_step_size_is_fixed_point_for_shared(self):
         config = tiny_config(
             opt=OptimizerConfig(step_size=0.0, shared_epochs=1, head_epochs=1, weight_decay=0.0)
@@ -173,8 +184,8 @@ class TestRunStage:
             )
         for c in server_a.global_protos.classes():
             assert np.array_equal(
-                server_a.global_protos.entries[c].vector,
-                server_b.global_protos.entries[c].vector,
+                server_a.global_protos.entries[c],
+                server_b.global_protos.entries[c],
             )
 
     def test_stage_classes_gain_local_prototypes(self):
@@ -211,45 +222,50 @@ class TestFixedPoint:
             assert reference.global_protos.classes() == later.global_protos.classes()
             for c in reference.global_protos.classes():
                 assert np.array_equal(
-                    reference.global_protos.entries[c].vector,
-                    later.global_protos.entries[c].vector,
+                    reference.global_protos.entries[c],
+                    later.global_protos.entries[c],
                 )
 
 
-class TestBaselineUpdate:
-    def setup_method(self):
-        config = tiny_config()
-        _, clients = initialize_experiment(config)
-        self.stage = clients[0].timeline.stages[0]
-        self.params = init_params(6, 8, 4, [5, 5])
-        self.broadcast = init_params(6, 8, 4, [6, 6])
-        self.opt = OptimizerConfig(step_size=0.02, shared_epochs=1, head_epochs=1)
+def run_rounds(config, rounds=2):
+    server, clients = initialize_experiment(config)
+    for k in range(1, rounds + 1):
+        run_round(server, clients, config, k)
+    return server, clients
 
+
+def assert_same_models(a, b):
+    """The server's shared layer and every client's layers are bit-identical."""
+    (server_a, clients_a), (server_b, clients_b) = a, b
+    pairs = [(server_a.shared, server_b.shared)]
+    for c in clients_a:
+        params_a, params_b = clients_a[c].params, clients_b[c].params
+        pairs += [(params_a.shared, params_b.shared), (params_a.head, params_b.head)]
+    for x, y in pairs:
+        assert np.array_equal(x.weight, y.weight) and np.array_equal(x.bias, y.bias)
+
+
+class TestBaselineUpdate:
     def test_fedprox_zero_coeff_equals_fedavg(self):
-        avg = baseline_update(
-            "FedAvg", self.params, self.broadcast, self.stage, self.opt,
-            np.random.default_rng(3),
-        )
-        prox = baseline_update(
-            "FedProx", self.params, self.broadcast, self.stage, self.opt,
-            np.random.default_rng(3), fedprox_coeff=0.0,
-        )
-        assert np.array_equal(avg.shared.weight, prox.shared.weight)
-        assert np.array_equal(avg.head.weight, prox.head.weight)
+        avg = run_rounds(tiny_config(algorithm="FedAvg"))
+        prox = run_rounds(tiny_config(algorithm="FedProx", fedprox_coeff=0.0))
+        assert_same_models(avg, prox)
+        assert np.array_equal(avg[0].head.weight, prox[0].head.weight)
 
     def test_fedavg_single_step_matches_sgd_oracle(self):
+        _, clients = initialize_experiment(tiny_config())
+        stage = clients[0].timeline.stages[0]
+        broadcast = init_params(6, 8, 4, [6, 6])
         opt = OptimizerConfig(
             step_size=0.05, shared_epochs=1, head_epochs=1, weight_decay=0.0, batch_size=10_000
         )
-        updated = baseline_update(
-            "FedAvg", self.params, self.broadcast, self.stage, opt, np.random.default_rng(4)
+        updated = joint_update(
+            broadcast, stage, opt, np.random.default_rng(4), prox_anchor=broadcast, prox_coeff=0.0
         )
         plain = LossWeights(use_local_relation=False, use_global_relation=False)
-        expect = self.broadcast.copy()
+        expect = broadcast.copy()
         for _ in range(2):  # shared_epochs + head_epochs joint passes
-            grads = grad_total(
-                expect, self.stage.train.inputs, self.stage.train.labels, {}, {}, plain
-            )
+            grads = grad_total(expect, stage.train.inputs, stage.train.labels, {}, {}, plain)
             expect.shared.weight -= 0.05 * grads.shared.weight
             expect.shared.bias -= 0.05 * grads.shared.bias
             expect.head.weight -= 0.05 * grads.head.weight
@@ -257,26 +273,13 @@ class TestBaselineUpdate:
         assert np.allclose(updated.shared.weight, expect.shared.weight, atol=1e-12)
         assert np.allclose(updated.head.weight, expect.head.weight, atol=1e-12)
 
-    def test_fedrep_keeps_own_head_start_and_broadcast_shared(self):
-        updated = baseline_update(
-            "FedRep", self.params, self.broadcast, self.stage, self.opt,
-            np.random.default_rng(5),
-        )
-        assert updated.shared.weight.shape == self.broadcast.shared.weight.shape
-        # FedRep trains from (broadcast shared, own head), never broadcast head
-        rerun = baseline_update(
-            "FedRep", self.params,
-            replace_head(self.broadcast, self.params.head), self.stage, self.opt,
-            np.random.default_rng(5),
-        )
-        assert np.array_equal(updated.shared.weight, rerun.shared.weight)
-        assert np.array_equal(updated.head.weight, rerun.head.weight)
-
-
-def replace_head(params, head):
-    from gldpsim.model import ModelParams
-
-    return ModelParams(shared=params.shared.copy(), head=head.copy())
+    def test_fedrep_equals_gldp_with_both_relations_off(self):
+        # FedRep trains from (broadcast shared, own head) exactly like GLDP.
+        off = LossWeights(use_local_relation=False, use_global_relation=False)
+        fedrep = run_rounds(tiny_config(algorithm="FedRep"))
+        gldp = run_rounds(tiny_config(weights=off))
+        assert fedrep[0].head is None and len(gldp[0].global_protos) > 0
+        assert_same_models(fedrep, gldp)
 
 
 class TestRunExperiment:
@@ -399,10 +402,19 @@ class TestMessagesAndAudit:
             run_round(server, clients, config, k, messages)
         dump_message_log(messages, tmp_path / "early.jsonl")
         early = (tmp_path / "early.jsonl").read_text().splitlines()
+        # Arrays are shared, not copied: none held after round 2 may change.
+        layers = [server.shared, server.head] + [
+            layer for c in clients.values() for layer in (c.params.shared, c.params.head)
+        ]
+        held = [a for layer in layers if layer is not None for a in (layer.weight, layer.bias)]
+        for store in [server.global_protos] + [c.local_protos for c in clients.values()]:
+            held.extend(store.entries.values())
+        frozen = [a.copy() for a in held]
         for k in (3, 4):
             run_round(server, clients, config, k, messages)
         dump_message_log(messages, tmp_path / "all.jsonl")
         assert (tmp_path / "all.jsonl").read_text().splitlines()[: len(early)] == early
+        assert all(np.array_equal(a, f) for a, f in zip(held, frozen))
 
     def test_message_log_dump_is_json_lines(self, tmp_path):
         config = tiny_config(rounds=1)

@@ -21,7 +21,7 @@ from gldpsim.model import (
     init_params,
     local_update,
 )
-from gldpsim.prototypes import PrototypeEntry, PrototypeStore
+from gldpsim.prototypes import PrototypeStore
 
 
 def identity_shared(dim: int) -> LayerParams:
@@ -38,7 +38,7 @@ def labeled(inputs, labels, start_id=0):
 def store_with(vectors: dict[int, list[float]]) -> PrototypeStore:
     store = PrototypeStore()
     for c, v in vectors.items():
-        store.entries[c] = PrototypeEntry(np.array(v, dtype=np.float64))
+        store.entries[c] = np.array(v, dtype=np.float64)
     return store
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -104,6 +105,13 @@ class TestLossLocalRelation:
         new = np.array([-2.0, 4.0, 1.0])
         assert loss_local_relation(old, new, 1e9) == pytest.approx(0.0, abs=1e-9)
 
+    def test_small_temperature_stays_finite(self):
+        # softmax(old/T) underflows to exactly 0 in one coordinate here
+        value = loss_local_relation(np.array([0.0, 10.0]), np.array([0.0, -10.0]), 0.01)
+        assert value == pytest.approx(1000.0, rel=1e-12)
+        rng = np.random.default_rng(6)
+        assert np.isfinite(loss_local_relation(rng.standard_normal(64), rng.standard_normal(64), 0.01))
+
     def test_non_negative(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -173,13 +181,14 @@ class TestLossTotal:
 
 class TestGradTotal:
     def test_matches_finite_differences_many_configurations(self):
-        # 21 configurations x mixes {0, 0.5, 1}; relative error under 1e-4.
+        # 7 configurations x mixes {0, 0.5, 1} x temperatures {1, 0.01};
+        # relative error under 1e-4.
         rng = np.random.default_rng(2024)
         checked = 0
         for trial in range(7):
             config = random_configuration(rng)
-            for mix in (0.0, 0.5, 1.0):
-                weights = LossWeights(relation_mix=mix)
+            for mix, temperature in itertools.product((0.0, 0.5, 1.0), (1.0, 0.01)):
+                weights = LossWeights(relation_mix=mix, temperature=temperature)
                 got = grad_total(*config, weights)
                 want = finite_difference_grad(*config, weights)
                 for got_arr, want_arr in zip(
@@ -188,7 +197,7 @@ class TestGradTotal:
                     rel = np.abs(got_arr - want_arr) / np.maximum(np.abs(want_arr), 1e-6)
                     assert rel.max() < 1e-4
                 checked += 1
-        assert checked == 21
+        assert checked == 42
 
     def test_mix_one_empty_old_store_equals_pure_ce_grad(self):
         rng = np.random.default_rng(8)

@@ -3,7 +3,6 @@ import pytest
 
 from gldpsim.errors import ConfigError, ProtocolError
 from gldpsim.prototypes import (
-    PrototypeEntry,
     PrototypeStore,
     compute,
     inference_store,
@@ -16,7 +15,7 @@ from gldpsim.prototypes import (
 def store_with(vectors: dict[int, list[float]], momentum=0.5) -> PrototypeStore:
     store = PrototypeStore(momentum=momentum)
     for c, v in vectors.items():
-        store.entries[c] = PrototypeEntry(np.array(v, dtype=np.float64))
+        store.entries[c] = np.array(v, dtype=np.float64)
     return store
 
 
@@ -46,35 +45,35 @@ class TestUpdateLocal:
     def test_half_blend(self):
         store = store_with({0: [2.0, 0.0]}, momentum=0.5)
         update_local(store, {0: np.array([0.0, 2.0])})
-        assert np.array_equal(store.entries[0].vector, np.array([1.0, 1.0]))
+        assert np.array_equal(store.entries[0], np.array([1.0, 1.0]))
 
     def test_momentum_one_keeps_existing(self):
         store = store_with({0: [2.0, 0.0]}, momentum=1.0)
-        old = store.entries[0].vector.copy()
+        old = store.entries[0].copy()
         update_local(store, {0: np.array([9.0, 9.0])})
-        assert np.array_equal(store.entries[0].vector, old)
+        assert np.array_equal(store.entries[0], old)
 
     def test_momentum_zero_takes_fresh(self):
         store = store_with({0: [2.0, 0.0]}, momentum=0.0)
         fresh = np.array([0.7, 0.1])
         update_local(store, {0: fresh})
-        assert np.array_equal(store.entries[0].vector, fresh)
+        assert np.array_equal(store.entries[0], fresh)
 
     def test_new_class_inserted_verbatim(self):
         store = store_with({0: [1.0, 1.0]})
         fresh = np.array([4.0, -1.0])
         update_local(store, {7: fresh})
-        assert np.array_equal(store.entries[7].vector, fresh)
-        assert np.array_equal(store.entries[0].vector, np.array([1.0, 1.0]))
+        assert np.array_equal(store.entries[7], fresh)
+        assert np.array_equal(store.entries[0], np.array([1.0, 1.0]))
 
     def test_idempotent_for_any_momentum(self):
         rng = np.random.default_rng(2)
         for momentum in (0.0, 0.137, 0.5, 0.92, 1.0):
             vec = rng.standard_normal(6)
             store = PrototypeStore(momentum=momentum)
-            store.entries[4] = PrototypeEntry(vec.copy())
+            store.entries[4] = vec.copy()
             update_local(store, {4: vec.copy()})
-            assert np.array_equal(store.entries[4].vector, vec)
+            assert np.array_equal(store.entries[4], vec)
 
     def test_blend_is_convex_coordinate_wise(self):
         rng = np.random.default_rng(3)
@@ -83,9 +82,9 @@ class TestUpdateLocal:
             old = rng.standard_normal(5)
             fresh = rng.standard_normal(5)
             store = PrototypeStore(momentum=momentum)
-            store.entries[0] = PrototypeEntry(old.copy())
+            store.entries[0] = old.copy()
             update_local(store, {0: fresh})
-            blended = store.entries[0].vector
+            blended = store.entries[0]
             assert np.all(blended >= np.minimum(old, fresh))
             assert np.all(blended <= np.maximum(old, fresh))
 
@@ -96,17 +95,17 @@ class TestUpdateLocal:
             old = rng.standard_normal(4)
             fresh = rng.standard_normal(4)
             store = PrototypeStore(momentum=momentum)
-            store.entries[0] = PrototypeEntry(old.copy())
+            store.entries[0] = old.copy()
             update_local(store, {0: fresh})
             want = momentum * old + (1.0 - momentum) * fresh
-            assert np.abs(store.entries[0].vector - want).max() < 1e-12
+            assert np.abs(store.entries[0] - want).max() < 1e-12
 
 
 class TestUpdateGlobal:
     def test_existing_class_single_upload(self):
         store = store_with({0: [4.0, 0.0]}, momentum=0.5)
         update_global(store, [(1, {0: np.array([0.0, 4.0])})])
-        assert np.array_equal(store.entries[0].vector, np.array([2.0, 2.0]))
+        assert np.array_equal(store.entries[0], np.array([2.0, 2.0]))
 
     def test_new_class_plain_mean(self):
         store = store_with({}, momentum=0.5)
@@ -114,7 +113,7 @@ class TestUpdateGlobal:
             store,
             [(1, {5: np.array([1.0, 1.0])}), (2, {5: np.array([3.0, 3.0])})],
         )
-        assert np.array_equal(store.entries[5].vector, np.array([2.0, 2.0]))
+        assert np.array_equal(store.entries[5], np.array([2.0, 2.0]))
 
     def test_five_client_formula_oracle(self):
         rng = np.random.default_rng(5)
@@ -123,16 +122,20 @@ class TestUpdateGlobal:
             old = rng.standard_normal(3)
             uploads = [(i, {0: rng.standard_normal(3)}) for i in range(5)]
             store = PrototypeStore(momentum=momentum)
-            store.entries[0] = PrototypeEntry(old.copy())
+            store.entries[0] = old.copy()
             update_global(store, uploads)
             mean = sum(protos[0] for _, protos in uploads) / 5
             want = momentum * old + (1.0 - momentum) * mean
-            assert np.abs(store.entries[0].vector - want).max() < 1e-12
+            assert np.abs(store.entries[0] - want).max() < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         store = store_with({0: [1.0, 2.0]})
         with pytest.raises(ProtocolError):
-            update_global(store, [(1, {0: np.array([1.0, 2.0, 3.0])})])
+            update_global(
+                store, [(1, {0: np.array([5.0, 5.0])}), (2, {1: np.array([1.0, 2.0, 3.0])})]
+            )
+        # a rejected upload leaves the store untouched
+        assert store.classes() == [0] and np.array_equal(store.entries[0], [1.0, 2.0])
         with pytest.raises(ProtocolError):
             update_global(
                 store_with({}),
@@ -143,11 +146,11 @@ class TestUpdateGlobal:
         momentum = 0.5
         target = np.array([1.0, -2.0, 0.5])
         store = PrototypeStore(momentum=momentum)
-        store.entries[0] = PrototypeEntry(np.array([10.0, 10.0, 10.0]))
+        store.entries[0] = np.array([10.0, 10.0, 10.0])
         gaps = []
         for _ in range(6):
             update_global(store, [(i, {0: target.copy()}) for i in range(4)])
-            gaps.append(float(np.abs(store.entries[0].vector - target).max()))
+            gaps.append(float(np.abs(store.entries[0] - target).max()))
         for before, after in zip(gaps, gaps[1:]):
             assert after == pytest.approx(momentum * before, rel=1e-9)
 
@@ -176,7 +179,7 @@ class TestPredict:
         embeddings = rng.standard_normal((20, 4))
         base = predict_batch(embeddings, store)
         shifted_store = store_with(
-            {c: (store.entries[c].vector + shift).tolist() for c in range(5)}
+            {c: (store.entries[c] + shift).tolist() for c in range(5)}
         )
         shifted = predict_batch(embeddings + shift, shifted_store)
         assert np.array_equal(base, shifted)
@@ -187,14 +190,14 @@ class TestInferenceStore:
         local = store_with({0: [0.0, 0.0]})
         glob = store_with({0: [1.0, 1.0], 1: [2.0, 2.0]})
         resolved = inference_store(local, glob, "gp")
-        assert np.array_equal(resolved.entries[0].vector, np.array([1.0, 1.0]))
+        assert np.array_equal(resolved.entries[0], np.array([1.0, 1.0]))
 
     def test_lp_prefers_local_with_global_fallback(self):
         local = store_with({0: [0.0, 0.0]})
         glob = store_with({0: [1.0, 1.0], 1: [2.0, 2.0]})
         resolved = inference_store(local, glob, "lp")
-        assert np.array_equal(resolved.entries[0].vector, np.array([0.0, 0.0]))
-        assert np.array_equal(resolved.entries[1].vector, np.array([2.0, 2.0]))
+        assert np.array_equal(resolved.entries[0], np.array([0.0, 0.0]))
+        assert np.array_equal(resolved.entries[1], np.array([2.0, 2.0]))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
