@@ -51,7 +51,6 @@ from .model import (
     loss_total,
 )
 from .prototypes import (
-    PrototypeStore,
     compute,
     inference_store,
     update_global,

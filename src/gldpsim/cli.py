@@ -77,16 +77,15 @@ def _config_to_values(config: ExperimentConfig) -> dict[str, object]:
 
 
 def _values_to_config(values: dict[str, object]) -> ExperimentConfig:
-    """Build a config from key values; ``seed`` also keys the dataset and plan."""
+    """Build a config from key values."""
     fields: dict[str, dict[str, object]] = defaultdict(dict)
     for key, (path, _, _) in _CONFIG_KEYS.items():
         owner, _, attr = path.rpartition(".")
         fields[owner][attr] = values[key]
-    seed = values["seed"]
     return ExperimentConfig(
         **fields[""],
-        dataset=DatasetSpec(**fields["dataset"], seed=seed),
-        plan=PartitionPlan(**fields["plan"], seed=seed),
+        dataset=DatasetSpec(**fields["dataset"]),
+        plan=PartitionPlan(**fields["plan"]),
         opt=OptimizerConfig(**fields["opt"]),
         weights=LossWeights(**fields["weights"]),
     )

@@ -3,7 +3,8 @@
 Builds Gaussian-mixture classification data, thins it into a long-tailed
 class profile controlled by an imbalance factor, and carves it into
 per-client timelines of stage tasks whose class composition shifts over
-time. All outputs are pure functions of (spec, plan, seed).
+time. All outputs are pure functions of (spec, plan, seed); the seed is an
+argument of each seeded step, not a field of the spec or plan.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .prototypes import compute_counts
 
 log = logging.getLogger(__name__)
 
@@ -42,7 +44,6 @@ class DatasetSpec:
     samples_per_class: int
     class_center_scale: float = 2.0
     noise_sigma: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         _require(self.num_classes >= 2, f"num_classes must be >= 2, got {self.num_classes}")
@@ -56,7 +57,6 @@ class DatasetSpec:
             f"class_center_scale must be positive, got {self.class_center_scale}",
         )
         _require(self.noise_sigma > 0, f"noise_sigma must be positive, got {self.noise_sigma}")
-        _require(self.seed >= 0, f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +83,6 @@ class LabeledSet:
     def subset(self, index: np.ndarray) -> "LabeledSet":
         return LabeledSet(self.inputs[index], self.labels[index], self.ids[index])
 
-    def class_counts(self) -> dict[int, int]:
-        values, counts = np.unique(self.labels, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
 
 def empty_labeled_set(input_dim: int) -> LabeledSet:
     return LabeledSet(
@@ -104,7 +100,6 @@ class PartitionPlan:
     classes_per_client: int
     num_stages: int
     imbalance_factor: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         _require(self.num_clients >= 1, f"num_clients must be >= 1, got {self.num_clients}")
@@ -117,7 +112,6 @@ class PartitionPlan:
             self.imbalance_factor >= 1,
             f"imbalance_factor must be >= 1, got {self.imbalance_factor}",
         )
-        _require(self.seed >= 0, f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -159,14 +153,14 @@ class ClientTimeline:
         return LabeledSet(inputs[keep], labels[keep], ids[keep])
 
 
-def make_synthetic_dataset(spec: DatasetSpec) -> LabeledSet:
+def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     """Draw a balanced Gaussian-mixture dataset, grouped by class.
 
     Each class gets an isotropic Gaussian cloud of ``samples_per_class``
     points around a per-class center drawn once from a scaled standard
-    Gaussian. Deterministic in ``spec.seed``.
+    Gaussian. Deterministic in ``seed``.
     """
-    center_rng = np.random.default_rng([spec.seed, _TAG_CENTERS])
+    center_rng = np.random.default_rng([seed, _TAG_CENTERS])
     for _ in range(100):
         centers = center_rng.standard_normal((spec.num_classes, spec.input_dim))
         centers *= spec.class_center_scale
@@ -178,7 +172,7 @@ def make_synthetic_dataset(spec: DatasetSpec) -> LabeledSet:
     else:  # pragma: no cover - measure-zero event
         raise DataError("could not draw pairwise-distinct class centers")
 
-    sample_rng = np.random.default_rng([spec.seed, _TAG_SAMPLES])
+    sample_rng = np.random.default_rng([seed, _TAG_SAMPLES])
     n = spec.samples_per_class
     blocks = []
     for c in range(spec.num_classes):
@@ -211,7 +205,7 @@ def apply_longtail(data: LabeledSet, imbalance_factor: float, seed: int) -> Labe
     Requires balanced input (equal per-class counts). Sample ids are
     preserved so downstream disjointness checks stay meaningful.
     """
-    per_class = data.class_counts()
+    per_class = compute_counts(data.labels)
     num_classes = len(per_class)
     sizes = set(per_class.values())
     if len(sizes) != 1:
@@ -247,7 +241,7 @@ def _stage_class_sets(classes: list[int], num_stages: int) -> list[list[int]]:
     return [[classes[j % count]] for j in range(num_stages)]
 
 
-def partition_clients(data: LabeledSet, plan: PartitionPlan) -> list[ClientTimeline]:
+def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[ClientTimeline]:
     """Carve a dataset into per-client multi-stage timelines.
 
     Every client draws ``classes_per_client`` distinct classes (redrawn
@@ -268,7 +262,7 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan) -> list[ClientTimel
         f"{n} clients x {s} classes cannot cover all {num_classes} classes",
     )
 
-    rng = np.random.default_rng([plan.seed, _TAG_PARTITION])
+    rng = np.random.default_rng([seed, _TAG_PARTITION])
     for _ in range(1000):
         assignments = [rng.choice(num_classes, size=s, replace=False) for _ in range(n)]
         covered: set[int] = set()

@@ -9,10 +9,13 @@ The shared layer carries from one stage into the next within a round.
 FedAvg, FedRep, and FedProx run on the same state machine with different
 local updates, payloads, and inference.
 
-Only ``model._train`` writes into arrays, and only into the copy it makes
-on entry. All other arrays (parameters, prototypes, payloads, and the
-``LayerParams``/``ModelParams`` holding them) are shared by reference and
-never written in place or field by field, so logged messages stay snapshots.
+One write rule keeps logged messages snapshots. Only ``model._train``
+writes into arrays, and only into the copy it makes on entry; all other
+arrays (parameters, prototypes, payloads, and the ``LayerParams``/
+``ModelParams`` holding them) are shared by reference. No function mutates
+a dict it was given: prototype stores are replaced by the new dict the
+folds return. State changes are field reassignments: the client and
+server states in :func:`run_stage`, the round index in :func:`run_round`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .model import (
     local_update,
 )
 from .prototypes import (
-    PrototypeStore,
     compute_counts,
     inference_store,
     update_global,
@@ -84,19 +86,16 @@ _TAG_CLIENT = 45
 @dataclass
 class ServerState:
     shared: LayerParams
-    global_protos: PrototypeStore
+    global_protos: dict[int, np.ndarray]
     head: LayerParams | None = None
     round_index: int = 0
-
-    def copy(self) -> "ServerState":
-        return replace(self, global_protos=self.global_protos.copy())
 
 
 @dataclass
 class ClientState:
     client_id: int
     params: ModelParams
-    local_protos: PrototypeStore
+    local_protos: dict[int, np.ndarray]
     timeline: ClientTimeline
 
 
@@ -149,13 +148,13 @@ class ExperimentConfig:
     dataset: DatasetSpec = field(
         default_factory=lambda: DatasetSpec(
             num_classes=10, input_dim=16, samples_per_class=100,
-            class_center_scale=2.0, noise_sigma=2.5, seed=0,
+            class_center_scale=2.0, noise_sigma=2.5,
         )
     )
     plan: PartitionPlan = field(
         default_factory=lambda: PartitionPlan(
             num_clients=20, classes_per_client=4, num_stages=5,
-            imbalance_factor=50.0, seed=0,
+            imbalance_factor=50.0,
         )
     )
     opt: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -193,12 +192,7 @@ class ExperimentConfig:
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Re-key every seeded component of the experiment."""
-        return replace(
-            self,
-            seed=seed,
-            dataset=replace(self.dataset, seed=seed),
-            plan=replace(self.plan, seed=seed),
-        )
+        return replace(self, seed=seed)
 
 
 def aggregates_full_model(algorithm: str) -> bool:
@@ -260,7 +254,7 @@ def run_stage(
     # One broadcast serves every client of the stage (arrays are shared).
     down_payload: dict = {
         "shared": server.shared,
-        "global_prototypes": server.global_protos.vectors(),
+        "global_prototypes": server.global_protos,
     }
     if full_model:
         down_payload["head"] = server.head
@@ -293,14 +287,14 @@ def run_stage(
             up_payload = {"shared": client.params.shared, "head": client.params.head}
         else:
             client.params, fresh = local_update(
-                start, stage, client.local_protos.vectors(), down_payload["global_prototypes"],
+                start, stage, client.local_protos, server.global_protos,
                 config.opt, config.weights if algorithm == "GLDP" else CE_ONLY, rng,
             )
             up_payload = {"shared": client.params.shared}
         if algorithm == "GLDP":
             up_payload["prototypes"] = fresh
             up_payload["class_counts"] = compute_counts(stage.train.labels)
-            update_local(client.local_protos, fresh)
+            client.local_protos = update_local(client.local_protos, fresh, config.proto_momentum)
         if not all(np.isfinite(a).all() for a in _payload_arrays(up_payload)):
             raise ProtocolError(
                 f"round {round_index} stage {stage_index}: client {cid} update is not finite"
@@ -318,7 +312,8 @@ def run_stage(
         if full_model:
             server.head = aggregate_shared([uploads[c]["head"] for c in order])
         if algorithm == "GLDP":
-            update_global(server.global_protos, [(c, uploads[c]["prototypes"]) for c in order])
+            protos = [(c, uploads[c]["prototypes"]) for c in order]
+            server.global_protos = update_global(server.global_protos, protos, config.proto_momentum)
     return order
 
 
@@ -326,9 +321,9 @@ def initialize_experiment(
     config: ExperimentConfig,
 ) -> tuple[ServerState, dict[int, ClientState]]:
     """Build data, timelines, and one initial model shared by every client."""
-    data = make_synthetic_dataset(config.dataset)
-    longtailed = apply_longtail(data, config.plan.imbalance_factor, config.plan.seed)
-    timelines = partition_clients(longtailed, config.plan)
+    data = make_synthetic_dataset(config.dataset, config.seed)
+    longtailed = apply_longtail(data, config.plan.imbalance_factor, config.seed)
+    timelines = partition_clients(longtailed, config.plan, config.seed)
 
     init = init_params(
         config.dataset.input_dim, config.embedding_dim, config.dataset.num_classes,
@@ -338,14 +333,14 @@ def initialize_experiment(
         t.client_id: ClientState(
             client_id=t.client_id,
             params=init,
-            local_protos=PrototypeStore(momentum=config.proto_momentum),
+            local_protos={},
             timeline=t,
         )
         for t in timelines
     }
     server = ServerState(
         shared=init.shared,
-        global_protos=PrototypeStore(momentum=config.proto_momentum),
+        global_protos={},
         head=init.head if aggregates_full_model(config.algorithm) else None,
     )
     return server, clients
@@ -377,7 +372,7 @@ def run_round(
 
 def _client_store(
     client: ClientState, server: ServerState, config: ExperimentConfig
-) -> PrototypeStore:
+) -> dict[int, np.ndarray]:
     """The store a GLDP client predicts with; its scope is every class it holds."""
     scope = set().union(*(stage.class_set for stage in client.timeline.stages))
     return inference_store(

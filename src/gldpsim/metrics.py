@@ -17,7 +17,7 @@ import numpy as np
 
 from .datagen import ClientTimeline, LabeledSet
 from .model import LayerParams, ModelParams, embed, forward
-from .prototypes import PrototypeStore, predict_batch
+from .prototypes import predict_batch
 
 A_GLOBAL = "A_glo"
 A_LOCAL = "A_loc"
@@ -53,13 +53,6 @@ class MetricsLog:
             if r.metric == metric and (scope is None or r.scope == scope)
         ]
 
-    def final_value(self, metric: str, scope: str = "ALL") -> float:
-        rows = self.select(metric, scope)
-        if not rows:
-            raise KeyError(f"no rows for metric {metric!r} scope {scope!r}")
-        rows.sort(key=lambda r: (r.round_index, r.stage_index))
-        return rows[-1].value
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -81,7 +74,7 @@ class MetricsLog:
 
 
 def accuracy_prototypes(
-    shared: LayerParams, store: PrototypeStore, data: LabeledSet
+    shared: LayerParams, store: dict[int, np.ndarray], data: LabeledSet
 ) -> float | None:
     """Nearest-prototype accuracy on one labeled set; None when empty."""
     if len(data) == 0:
@@ -105,7 +98,7 @@ def _mean(values: list[float | None]) -> float:
 
 
 def acc_global(
-    shared: LayerParams, global_protos: PrototypeStore, test_sets: Sequence[LabeledSet]
+    shared: LayerParams, global_protos: dict[int, np.ndarray], test_sets: Sequence[LabeledSet]
 ) -> float:
     """Mean per-client accuracy of the global model with global prototypes."""
     return _mean([accuracy_prototypes(shared, global_protos, ts) for ts in test_sets])
@@ -121,7 +114,7 @@ def acc_global_softmax(
 
 
 def acc_local(
-    models: Sequence[tuple[LayerParams, PrototypeStore]], test_sets: Sequence[LabeledSet]
+    models: Sequence[tuple[LayerParams, dict[int, np.ndarray]]], test_sets: Sequence[LabeledSet]
 ) -> float:
     """Mean accuracy of each personalized model on its own test data.
 
@@ -139,7 +132,7 @@ acc_local_softmax = acc_global_softmax
 
 
 def acc_sel_prototypes(
-    shared: LayerParams, store: PrototypeStore, timeline: ClientTimeline, stage_index: int
+    shared: LayerParams, store: dict[int, np.ndarray], timeline: ClientTimeline, stage_index: int
 ) -> float | None:
     """Accuracy on the union of the client's test sets for stages 1..m."""
     if len(store) == 0:

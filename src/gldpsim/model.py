@@ -291,8 +291,9 @@ def _train(
     layer is also pulled toward the anchor with strength ``prox_coeff``.
 
     The only writer of arrays in the package, and only into the copy of
-    ``params`` made on entry: every other array is shared by reference and
-    never written in place (see :mod:`gldpsim.federation`).
+    ``params`` made on entry. Every other array is shared by reference, no
+    function mutates a dict it was given, and state changes are field
+    reassignments in ``run_stage`` (see :mod:`gldpsim.federation`).
     """
     if len(stage.train) == 0:
         raise DataError(f"stage {stage.stage_index} training set is empty")

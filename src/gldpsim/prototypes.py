@@ -1,48 +1,20 @@
 """Class prototypes: computation, moving-average maintenance, inference.
 
 A prototype is the arithmetic mean of the embedding vectors of one class.
-Clients keep a local store across their stage tasks; the server keeps a
-global store blended from client uploads. Prediction is nearest-prototype
-by Euclidean distance.
+Every prototype set is a plain ``dict[int, np.ndarray]`` from class to
+vector: client and server stores, upload payloads, freshly computed
+prototypes and the stores used at test time. Clients keep a local store
+across their stage tasks; the server keeps a global store blended from
+client uploads. Stores are values: the folds below return a new dict and
+never change the one they are given. Prediction is nearest-prototype by
+Euclidean distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError, ProtocolError
-
-
-@dataclass
-class PrototypeStore:
-    """Per-class prototype vectors with a moving-average blend coefficient.
-
-    ``momentum`` is the weight kept on the existing vector when a class is
-    refreshed: new = momentum * old + (1 - momentum) * fresh. Vectors are
-    shared, never written in place: a refresh replaces the dict value.
-    """
-
-    momentum: float = 0.5
-    entries: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ConfigError(f"momentum must be in [0, 1], got {self.momentum}")
-
-    def classes(self) -> list[int]:
-        return sorted(self.entries)
-
-    def vectors(self) -> dict[int, np.ndarray]:
-        """A new class-sorted dict of the (shared) vectors."""
-        return {c: self.entries[c] for c in self.classes()}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def copy(self) -> "PrototypeStore":
-        return PrototypeStore(self.momentum, dict(self.entries))
 
 
 def _blend(old: np.ndarray, fresh: np.ndarray, momentum: float) -> np.ndarray:
@@ -74,30 +46,39 @@ def compute_counts(labels: np.ndarray) -> dict[int, int]:
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def update_local(store: PrototypeStore, fresh: dict[int, np.ndarray]) -> PrototypeStore:
+def update_local(
+    store: dict[int, np.ndarray], fresh: dict[int, np.ndarray], momentum: float
+) -> dict[int, np.ndarray]:
     """Fold freshly computed prototypes into a store (client or server).
 
-    Classes already present are moving-averaged; new classes are inserted
-    verbatim; classes absent from ``fresh`` are left untouched.
+    ``momentum`` is the weight kept on the existing vector when a class is
+    refreshed: new = momentum * old + (1 - momentum) * fresh. Classes
+    already present are moving-averaged; new classes are inserted
+    verbatim; classes absent from ``fresh`` are carried over. Returns a new
+    store and leaves ``store`` unchanged.
     """
+    if not 0.0 <= momentum <= 1.0:
+        raise ConfigError(f"momentum must be in [0, 1], got {momentum}")
+    folded = dict(store)
     for c in sorted(fresh):
-        old = store.entries.get(c)
-        store.entries[c] = fresh[c] if old is None else _blend(old, fresh[c], store.momentum)
-    return store
+        old = store.get(c)
+        folded[c] = fresh[c] if old is None else _blend(old, fresh[c], momentum)
+    return folded
 
 
 def update_global(
-    store: PrototypeStore,
+    store: dict[int, np.ndarray],
     uploads: list[tuple[int, dict[int, np.ndarray]]],
-) -> PrototypeStore:
+    momentum: float,
+) -> dict[int, np.ndarray]:
     """Blend client prototype uploads into the server store.
 
     Per class, the fresh value is the plain mean over the uploading
-    clients, folded in by :func:`update_local`. Every upload must match one
-    dim (the store's, or else the first uploaded vector's); a mismatch
-    raises before the store changes.
+    clients, folded in by :func:`update_local`, which returns the new
+    store. Every upload must match one dim (the store's, or else the first
+    uploaded vector's); a mismatch raises a ProtocolError.
     """
-    dim = next((v.shape[0] for v in store.entries.values()), None)
+    dim = next((v.shape[0] for v in store.values()), None)
     by_class: dict[int, list[np.ndarray]] = {}
     for client_id, protos in sorted(uploads, key=lambda u: u[0]):
         for c in sorted(protos):
@@ -109,37 +90,36 @@ def update_global(
                     f"{vec.shape[0]}, expected {dim}"
                 )
             by_class.setdefault(int(c), []).append(vec)
-    return update_local(store, {c: np.stack(v).mean(axis=0) for c, v in by_class.items()})
+    return update_local(store, {c: np.stack(v).mean(axis=0) for c, v in by_class.items()}, momentum)
 
 
-def predict_batch(embeddings: np.ndarray, store: PrototypeStore) -> np.ndarray:
+def predict_batch(embeddings: np.ndarray, store: dict[int, np.ndarray]) -> np.ndarray:
     """Nearest-prototype class per row; ties break to the lowest class index."""
-    if not store.entries:
+    if not store:
         raise ProtocolError("no prototypes available")
-    classes = np.array(store.classes(), dtype=np.int64)
-    matrix = np.stack([store.entries[int(c)] for c in classes])
+    classes = sorted(store)
+    matrix = np.stack([store[c] for c in classes])
     gaps = embeddings[:, None, :] - matrix[None, :, :]
     distances = np.sqrt((gaps**2).sum(axis=-1))
-    return classes[distances.argmin(axis=1)]
+    return np.array(classes, dtype=np.int64)[distances.argmin(axis=1)]
 
 
 def inference_store(
-    local: PrototypeStore,
-    global_store: PrototypeStore,
+    local: dict[int, np.ndarray],
+    global_store: dict[int, np.ndarray],
     mode: str,
-    scope: set[int] | None = None,
-) -> PrototypeStore:
+    scope: set[int],
+) -> dict[int, np.ndarray]:
     """Resolve the store used at test time.
 
     ``gp`` uses the global store exclusively. ``lp`` uses the client's own
     prototypes, falling back to the global prototype for any class in
     ``scope`` (the client's known label space) that the client has not
-    formed yet; without a scope, every global class is eligible.
+    formed yet.
     """
     if mode == "gp":
         return global_store
     if mode == "lp":
-        fallback = global_store.classes() if scope is None else scope
-        merged = {c: global_store.entries[c] for c in fallback if c in global_store.entries}
-        return PrototypeStore(local.momentum, {**merged, **local.entries})
+        fallback = {c: global_store[c] for c in scope if c in global_store}
+        return {**fallback, **local}
     raise ConfigError(f"inference mode must be 'gp' or 'lp', got {mode!r}")

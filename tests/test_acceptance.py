@@ -34,8 +34,8 @@ from gldpsim.federation import (
 from gldpsim.metrics import acc_sel_prototypes, forgetting
 from gldpsim.model import LossWeights, OptimizerConfig, grad_total
 from gldpsim.prototypes import (
-    PrototypeStore,
     compute,
+    compute_counts,
     update_global,
     update_local,
 )
@@ -152,10 +152,7 @@ def test_criterion_2_prototype_algebra():
         # client-store blend vs the moving-average formula
         old = rng.standard_normal(dim)
         fresh = rng.standard_normal(dim)
-        store = PrototypeStore(momentum=momentum)
-        store.entries[0] = old.copy()
-        update_local(store, {0: fresh})
-        blended = store.entries[0]
+        blended = update_local({0: old.copy()}, {0: fresh}, momentum)[0]
         worst = max(
             worst, float(np.abs(blended - (momentum * old + (1 - momentum) * fresh)).max())
         )
@@ -164,23 +161,17 @@ def test_criterion_2_prototype_algebra():
 
         # server blend vs the upload-mean formula
         uploads = [(i, {0: rng.standard_normal(dim)}) for i in range(int(rng.integers(1, 6)))]
-        server = PrototypeStore(momentum=momentum)
-        server.entries[0] = old.copy()
-        update_global(server, uploads)
+        server = update_global({0: old.copy()}, uploads, momentum)
         mean = sum(p[0] for _, p in uploads) / len(uploads)
         want = momentum * old + (1 - momentum) * mean
-        worst = max(worst, float(np.abs(server.entries[0] - want).max()))
+        worst = max(worst, float(np.abs(server[0] - want).max()))
 
     # degenerate coefficients hold bit-exactly
     vec_old, vec_new = rng.standard_normal(5), rng.standard_normal(5)
-    keep = PrototypeStore(momentum=1.0)
-    keep.entries[0] = vec_old.copy()
-    update_local(keep, {0: vec_new})
-    exact_keep = np.array_equal(keep.entries[0], vec_old)
-    swap = PrototypeStore(momentum=0.0)
-    swap.entries[0] = vec_old.copy()
-    update_local(swap, {0: vec_new})
-    exact_swap = np.array_equal(swap.entries[0], vec_new)
+    keep = update_local({0: vec_old.copy()}, {0: vec_new}, 1.0)
+    exact_keep = np.array_equal(keep[0], vec_old)
+    swap = update_local({0: vec_old.copy()}, {0: vec_new}, 0.0)
+    exact_swap = np.array_equal(swap[0], vec_new)
 
     ok = worst < 1e-12 and exact_keep and exact_swap
     report(2, "prototype-algebra", ok, f"100 instances, worst gap {worst:.2e}")
@@ -214,17 +205,15 @@ def test_criterion_4_fixed_point():
     snapshots = []
     for k in range(1, 6):
         run_round(server, clients, config, k)
-        snapshots.append(server.copy())
+        snapshots.append(replace(server))
     reference = snapshots[0]
     identical = True
     for later in snapshots[1:]:
         identical &= np.array_equal(reference.shared.weight, later.shared.weight)
         identical &= np.array_equal(reference.shared.bias, later.shared.bias)
-        identical &= reference.global_protos.classes() == later.global_protos.classes()
-        for c in reference.global_protos.classes():
-            identical &= np.array_equal(
-                reference.global_protos.entries[c], later.global_protos.entries[c]
-            )
+        identical &= sorted(reference.global_protos) == sorted(later.global_protos)
+        for c in sorted(reference.global_protos):
+            identical &= np.array_equal(reference.global_protos[c], later.global_protos[c])
     report(4, "fixed-point", identical, "server state bit-identical across 5 rounds")
     assert identical
 
@@ -233,10 +222,10 @@ def test_criterion_5_longtail_counts():
     want = [100, 60, 36, 22, 13, 8, 5, 3, 2, 1]
     got_rule = longtail_class_counts(100, 100.0, 10)
     data = make_synthetic_dataset(
-        DatasetSpec(num_classes=10, input_dim=16, samples_per_class=100, seed=3)
+        DatasetSpec(num_classes=10, input_dim=16, samples_per_class=100), seed=3
     )
     thinned = apply_longtail(data, 100.0, seed=3)
-    got_applied = [thinned.class_counts()[k] for k in range(10)]
+    got_applied = [compute_counts(thinned.labels)[k] for k in range(10)]
     ok = got_rule == want and got_applied == want
     report(5, "longtail-counts", ok, f"counts {got_applied}")
     assert got_rule == want

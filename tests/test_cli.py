@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -25,8 +25,8 @@ def fast_config() -> ExperimentConfig:
     return ExperimentConfig(
         rounds=1,
         clients_per_round=2,
-        dataset=DatasetSpec(num_classes=4, input_dim=5, samples_per_class=20, seed=0),
-        plan=PartitionPlan(num_clients=3, classes_per_client=2, num_stages=2, seed=0),
+        dataset=DatasetSpec(num_classes=4, input_dim=5, samples_per_class=20),
+        plan=PartitionPlan(num_clients=3, classes_per_client=2, num_stages=2),
         opt=OptimizerConfig(step_size=0.02, shared_epochs=1, head_epochs=1, batch_size=16),
         embedding_dim=6,
         seed=0,
@@ -84,8 +84,6 @@ KEY_CASES = [
 
 
 def with_attribute(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
-    if path == "seed":
-        return config.with_seed(value)
     owner, _, attr = path.partition(".")
     if not attr:
         return replace(config, **{owner: value})
@@ -96,6 +94,19 @@ class TestParseConfig:
     def test_key_cases_cover_every_printed_key(self):
         printed = [line.split(" = ")[0] for line in print_config(ExperimentConfig()).splitlines()]
         assert [case[0] for case in KEY_CASES] == printed
+
+    def test_key_cases_cover_every_config_field(self):
+        # A field without a key would be dropped by print_config and the
+        # manifest config hash.
+        def leaves(obj, prefix=""):
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if is_dataclass(value):
+                    yield from leaves(value, f"{prefix}{f.name}.")
+                else:
+                    yield prefix + f.name
+
+        assert sorted(leaves(ExperimentConfig())) == sorted(case[2] for case in KEY_CASES)
 
     @pytest.mark.parametrize("key, text, path, value", KEY_CASES, ids=[c[0] for c in KEY_CASES])
     def test_each_key_sets_only_its_attribute(self, tmp_path, key, text, path, value):

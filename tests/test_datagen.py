@@ -13,12 +13,13 @@ from gldpsim.datagen import (
     partition_clients,
 )
 from gldpsim.errors import ConfigError, DataError
+from gldpsim.prototypes import compute_counts
 
 
 def small_spec(**overrides):
     base = dict(
         num_classes=10, input_dim=16, samples_per_class=100,
-        class_center_scale=4.0, noise_sigma=0.5, seed=7,
+        class_center_scale=4.0, noise_sigma=0.5,
     )
     base.update(overrides)
     return DatasetSpec(**base)
@@ -27,22 +28,22 @@ def small_spec(**overrides):
 class TestMakeSyntheticDataset:
     def test_row_count_and_grouped_labels(self):
         data = make_synthetic_dataset(
-            DatasetSpec(num_classes=2, input_dim=2, samples_per_class=3, seed=7)
+            DatasetSpec(num_classes=2, input_dim=2, samples_per_class=3), 7
         )
         assert len(data) == 6
         assert data.labels.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_same_seed_bit_identical(self):
         spec = small_spec()
-        a = make_synthetic_dataset(spec)
-        b = make_synthetic_dataset(spec)
+        a = make_synthetic_dataset(spec, 7)
+        b = make_synthetic_dataset(spec, 7)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.ids, b.ids)
 
     def test_different_seed_differs(self):
-        a = make_synthetic_dataset(small_spec(seed=1))
-        b = make_synthetic_dataset(small_spec(seed=2))
+        a = make_synthetic_dataset(small_spec(), 1)
+        b = make_synthetic_dataset(small_spec(), 2)
         assert not np.array_equal(a.inputs, b.inputs)
 
     def test_nearest_centroid_oracle_accuracy(self):
@@ -50,7 +51,7 @@ class TestMakeSyntheticDataset:
         # draws, classify the held-out half by nearest center; the
         # well-separated spec must score above 95%.
         spec = small_spec()
-        data = make_synthetic_dataset(spec)
+        data = make_synthetic_dataset(spec, 7)
         fit = data.subset(np.arange(len(data)) % 2 == 0)
         held_out = data.subset(np.arange(len(data)) % 2 == 1)
         centers = np.stack(
@@ -65,62 +66,61 @@ class TestMakeSyntheticDataset:
             DatasetSpec(num_classes=1, input_dim=4, samples_per_class=5)
         with pytest.raises(ConfigError, match="noise_sigma"):
             DatasetSpec(num_classes=3, input_dim=4, samples_per_class=5, noise_sigma=0.0)
-        with pytest.raises(ConfigError, match="seed"):
-            DatasetSpec(num_classes=3, input_dim=4, samples_per_class=5, seed=-1)
 
 
 class TestApplyLongtail:
     def test_identity_when_factor_is_one(self):
-        data = make_synthetic_dataset(small_spec())
+        data = make_synthetic_dataset(small_spec(), 7)
         thinned = apply_longtail(data, 1.0, seed=0)
-        assert all(count == 100 for count in thinned.class_counts().values())
+        assert all(count == 100 for count in compute_counts(thinned.labels).values())
 
     def test_frozen_count_oracle_if_100(self):
         # Direct evaluation of round(100 * 100^(-k/9)) per class.
         assert longtail_class_counts(100, 100.0, 10) == [100, 60, 36, 22, 13, 8, 5, 3, 2, 1]
 
     def test_head_and_tail_counts(self):
-        data = make_synthetic_dataset(small_spec())
+        data = make_synthetic_dataset(small_spec(), 7)
         thinned = apply_longtail(data, 100.0, seed=0)
-        counts = thinned.class_counts()
+        counts = compute_counts(thinned.labels)
         assert counts[0] == 100
         assert counts[9] == 1
         assert counts[3] == 22
 
     def test_counts_non_increasing(self):
-        data = make_synthetic_dataset(small_spec())
+        data = make_synthetic_dataset(small_spec(), 7)
         for factor in (1.0, 10.0, 50.0, 100.0):
-            counts = apply_longtail(data, factor, seed=0).class_counts()
+            counts = compute_counts(apply_longtail(data, factor, seed=0).labels)
             values = [counts[k] for k in range(10)]
             assert values == sorted(values, reverse=True)
 
     def test_requires_factor_at_least_one(self):
-        data = make_synthetic_dataset(small_spec())
+        data = make_synthetic_dataset(small_spec(), 7)
         with pytest.raises(ConfigError):
             apply_longtail(data, 0.5, seed=0)
 
     def test_requires_balanced_input(self):
-        data = make_synthetic_dataset(small_spec())
+        data = make_synthetic_dataset(small_spec(), 7)
         unbalanced = data.subset(np.arange(len(data) - 5))
         with pytest.raises(DataError):
             apply_longtail(unbalanced, 10.0, seed=0)
 
     def test_ids_preserved(self):
-        data = make_synthetic_dataset(small_spec())
+        data = make_synthetic_dataset(small_spec(), 7)
         thinned = apply_longtail(data, 50.0, seed=0)
         assert set(thinned.ids) <= set(data.ids)
 
 
 def four_class_data(seed=3):
-    spec = DatasetSpec(num_classes=4, input_dim=4, samples_per_class=20, seed=seed)
-    return make_synthetic_dataset(spec)
+    spec = DatasetSpec(num_classes=4, input_dim=4, samples_per_class=20)
+    return make_synthetic_dataset(spec, seed)
 
 
 class TestPartitionClients:
     def test_single_stage_shape(self):
         timelines = partition_clients(
             four_class_data(),
-            PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1, seed=5),
+            PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1),
+            5,
         )
         assert len(timelines) == 2
         for t in timelines:
@@ -128,12 +128,13 @@ class TestPartitionClients:
             assert len(t.stages[0].class_set) == 2
 
     def test_staged_shape_20_4_5(self):
-        data = make_synthetic_dataset(small_spec())
+        data = make_synthetic_dataset(small_spec(), 7)
         thinned = apply_longtail(data, 50.0, seed=0)
         timelines = partition_clients(
             thinned,
             PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5,
-                          imbalance_factor=50.0, seed=0),
+                          imbalance_factor=50.0),
+            0,
         )
         assert len(timelines) == 20
         assert all(len(t.stages) == 5 for t in timelines)
@@ -143,7 +144,7 @@ class TestPartitionClients:
         # exactly one client/stage/split.
         data = four_class_data()
         timelines = partition_clients(
-            data, PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1, seed=5)
+            data, PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1), 5
         )
         collected = []
         for t in timelines:
@@ -155,23 +156,24 @@ class TestPartitionClients:
     def test_train_test_split_is_80_20_per_class(self):
         data = four_class_data()
         timelines = partition_clients(
-            data, PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1, seed=5)
+            data, PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1), 5
         )
         for t in timelines:
             stage = t.stages[0]
-            train_counts = stage.train.class_counts()
-            test_counts = stage.test.class_counts()
+            train_counts = compute_counts(stage.train.labels)
+            test_counts = compute_counts(stage.test.labels)
             for c, n_train in train_counts.items():
                 total = n_train + test_counts.get(c, 0)
                 assert n_train == max(1, int(np.floor(0.8 * total + 0.5)))
 
     def test_disjointness_multi_stage(self):
-        data = make_synthetic_dataset(small_spec(seed=11))
+        data = make_synthetic_dataset(small_spec(), 11)
         thinned = apply_longtail(data, 50.0, seed=11)
         timelines = partition_clients(
             thinned,
             PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5,
-                          imbalance_factor=50.0, seed=11),
+                          imbalance_factor=50.0),
+            11,
         )
         seen = set()
         for t in timelines:
@@ -181,11 +183,12 @@ class TestPartitionClients:
                     seen.add(sample_id)
 
     def test_temporal_heterogeneity_exists(self):
-        data = make_synthetic_dataset(small_spec(seed=2))
+        data = make_synthetic_dataset(small_spec(), 2)
         for seed in range(5):
             timelines = partition_clients(
                 data,
-                PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5, seed=seed),
+                PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5),
+                seed,
             )
             differs = any(
                 t.stages[j].class_set != t.stages[j + 1].class_set
@@ -195,9 +198,9 @@ class TestPartitionClients:
             assert differs
 
     def test_later_stages_introduce_new_classes(self):
-        data = make_synthetic_dataset(small_spec(seed=2))
+        data = make_synthetic_dataset(small_spec(), 2)
         timelines = partition_clients(
-            data, PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5, seed=3)
+            data, PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5), 3
         )
         introduces = 0
         for t in timelines:
@@ -210,9 +213,9 @@ class TestPartitionClients:
 
     def test_deterministic_in_seed(self):
         data = four_class_data()
-        plan = PartitionPlan(num_clients=3, classes_per_client=2, num_stages=2, seed=9)
-        a = partition_clients(data, plan)
-        b = partition_clients(data, plan)
+        plan = PartitionPlan(num_clients=3, classes_per_client=2, num_stages=2)
+        a = partition_clients(data, plan, 9)
+        b = partition_clients(data, plan, 9)
         for ta, tb in zip(a, b):
             for sa, sb in zip(ta.stages, tb.stages):
                 assert np.array_equal(sa.train.ids, sb.train.ids)
@@ -220,12 +223,13 @@ class TestPartitionClients:
                 assert sa.class_set == sb.class_set
 
     def test_labels_subset_of_class_set(self):
-        data = make_synthetic_dataset(small_spec(seed=4))
+        data = make_synthetic_dataset(small_spec(), 4)
         thinned = apply_longtail(data, 100.0, seed=4)
         timelines = partition_clients(
             thinned,
             PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5,
-                          imbalance_factor=100.0, seed=4),
+                          imbalance_factor=100.0),
+            4,
         )
         for t in timelines:
             for s in t.stages:
@@ -237,6 +241,7 @@ class TestPartitionClients:
             partition_clients(
                 four_class_data(),
                 PartitionPlan(num_clients=2, classes_per_client=5, num_stages=1),
+                0,
             )
 
     def test_impossible_coverage_rejected(self):
@@ -244,6 +249,7 @@ class TestPartitionClients:
             partition_clients(
                 four_class_data(),
                 PartitionPlan(num_clients=1, classes_per_client=2, num_stages=1),
+                0,
             )
 
 

@@ -36,11 +36,11 @@ def tiny_config(**overrides) -> ExperimentConfig:
         clients_per_round=3,
         dataset=DatasetSpec(
             num_classes=4, input_dim=6, samples_per_class=30,
-            class_center_scale=3.0, noise_sigma=0.8, seed=0,
+            class_center_scale=3.0, noise_sigma=0.8,
         ),
         plan=PartitionPlan(
             num_clients=4, classes_per_client=2, num_stages=2,
-            imbalance_factor=1.0, seed=0,
+            imbalance_factor=1.0,
         ),
         opt=OptimizerConfig(step_size=0.02, shared_epochs=1, head_epochs=2, batch_size=16),
         weights=LossWeights(),
@@ -182,11 +182,9 @@ class TestRunStage:
             assert np.array_equal(
                 clients_a[cid].params.head.weight, clients_b[cid].params.head.weight
             )
-        for c in server_a.global_protos.classes():
-            assert np.array_equal(
-                server_a.global_protos.entries[c],
-                server_b.global_protos.entries[c],
-            )
+        assert sorted(server_a.global_protos) == sorted(server_b.global_protos)
+        for c in sorted(server_a.global_protos):
+            assert np.array_equal(server_a.global_protos[c], server_b.global_protos[c])
 
     def test_stage_classes_gain_local_prototypes(self):
         config = tiny_config()
@@ -199,7 +197,7 @@ class TestRunStage:
                 seen = set()
                 for s in client.timeline.stages[:stage_index]:
                     seen |= set(int(v) for v in np.unique(s.train.labels))
-                assert seen <= set(client.local_protos.classes())
+                assert seen <= set(client.local_protos)
 
 
 class TestFixedPoint:
@@ -214,17 +212,14 @@ class TestFixedPoint:
         snapshots = []
         for k in range(1, 6):
             run_round(server, clients, config, k)
-            snapshots.append(server.copy())
+            snapshots.append(replace(server))
         reference = snapshots[0]
         for later in snapshots[1:]:
             assert np.array_equal(reference.shared.weight, later.shared.weight)
             assert np.array_equal(reference.shared.bias, later.shared.bias)
-            assert reference.global_protos.classes() == later.global_protos.classes()
-            for c in reference.global_protos.classes():
-                assert np.array_equal(
-                    reference.global_protos.entries[c],
-                    later.global_protos.entries[c],
-                )
+            assert sorted(reference.global_protos) == sorted(later.global_protos)
+            for c in sorted(reference.global_protos):
+                assert np.array_equal(reference.global_protos[c], later.global_protos[c])
 
 
 def run_rounds(config, rounds=2):
@@ -408,13 +403,22 @@ class TestMessagesAndAudit:
         ]
         held = [a for layer in layers if layer is not None for a in (layer.weight, layer.bias)]
         for store in [server.global_protos] + [c.local_protos for c in clients.values()]:
-            held.extend(store.entries.values())
+            held.extend(store.values())
         frozen = [a.copy() for a in held]
+        # Each broadcast prototype set keeps its classes and vectors.
+        broadcasts = [
+            (protos, {c: v.copy() for c, v in protos.items()})
+            for protos in (m.payload["global_prototypes"] for m in messages
+                           if m.direction == "server_to_client")
+        ]
         for k in (3, 4):
             run_round(server, clients, config, k, messages)
         dump_message_log(messages, tmp_path / "all.jsonl")
         assert (tmp_path / "all.jsonl").read_text().splitlines()[: len(early)] == early
         assert all(np.array_equal(a, f) for a, f in zip(held, frozen))
+        for protos, want in broadcasts:
+            assert sorted(protos) == sorted(want)
+            assert all(np.array_equal(protos[c], v) for c, v in want.items())
 
     def test_message_log_dump_is_json_lines(self, tmp_path):
         config = tiny_config(rounds=1)
@@ -441,9 +445,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(inference_mode="global")
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_config(seed=-1)
+
     def test_with_seed_rekeys_nested_components(self):
-        config = tiny_config()
-        reseeded = config.with_seed(9)
-        assert reseeded.seed == 9
-        assert reseeded.dataset.seed == 9
-        assert reseeded.plan.seed == 9
+        def partition(seed):
+            _, clients = initialize_experiment(tiny_config().with_seed(seed))
+            return [
+                (s.train.ids.tolist(), s.train.inputs.tolist(), s.test.ids.tolist())
+                for c in sorted(clients) for s in clients[c].timeline.stages
+            ]
+
+        assert tiny_config().with_seed(9).seed == 9
+        assert partition(9) == partition(9)
+        assert partition(9) != partition(10)

@@ -21,7 +21,6 @@ from gldpsim.model import (
     init_params,
     local_update,
 )
-from gldpsim.prototypes import PrototypeStore
 
 
 def identity_shared(dim: int) -> LayerParams:
@@ -35,11 +34,8 @@ def labeled(inputs, labels, start_id=0):
     return LabeledSet(inputs, labels, ids)
 
 
-def store_with(vectors: dict[int, list[float]]) -> PrototypeStore:
-    store = PrototypeStore()
-    for c, v in vectors.items():
-        store.entries[c] = np.array(v, dtype=np.float64)
-    return store
+def store_with(vectors: dict[int, list[float]]) -> dict[int, np.ndarray]:
+    return {c: np.array(v, dtype=np.float64) for c, v in vectors.items()}
 
 
 def separated_clouds(rng, centers, per_class, start_id=0):
@@ -70,7 +66,7 @@ class TestAccGlobal:
     def test_empty_store_error_propagates(self):
         data = labeled([[0.0, 0.0]], [0])
         with pytest.raises(ProtocolError):
-            acc_global(identity_shared(2), PrototypeStore(), [data])
+            acc_global(identity_shared(2), {}, [data])
 
     def test_empty_test_sets_are_skipped_in_mean(self):
         data = labeled([[1.0, 0.0]], [0])
@@ -200,12 +196,6 @@ class TestMetricsLogCsv:
         loaded = MetricsLog.from_csv(path)
         assert len(loaded.rows) == 2
         assert loaded.rows[1].value == 0.7512345678901234
-
-    def test_final_value_picks_latest(self):
-        mlog = MetricsLog()
-        mlog.add(1, 1, "GLDP", "A_glo", "ALL", 0.3)
-        mlog.add(2, 1, "GLDP", "A_glo", "ALL", 0.6)
-        assert mlog.final_value("A_glo") == 0.6
 
     def test_values_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)

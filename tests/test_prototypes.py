@@ -3,7 +3,6 @@ import pytest
 
 from gldpsim.errors import ConfigError, ProtocolError
 from gldpsim.prototypes import (
-    PrototypeStore,
     compute,
     inference_store,
     predict_batch,
@@ -12,11 +11,8 @@ from gldpsim.prototypes import (
 )
 
 
-def store_with(vectors: dict[int, list[float]], momentum=0.5) -> PrototypeStore:
-    store = PrototypeStore(momentum=momentum)
-    for c, v in vectors.items():
-        store.entries[c] = np.array(v, dtype=np.float64)
-    return store
+def store_with(vectors: dict[int, list[float]]) -> dict[int, np.ndarray]:
+    return {c: np.array(v, dtype=np.float64) for c, v in vectors.items()}
 
 
 class TestCompute:
@@ -43,37 +39,42 @@ class TestCompute:
 
 class TestUpdateLocal:
     def test_half_blend(self):
-        store = store_with({0: [2.0, 0.0]}, momentum=0.5)
-        update_local(store, {0: np.array([0.0, 2.0])})
-        assert np.array_equal(store.entries[0], np.array([1.0, 1.0]))
+        store = update_local(store_with({0: [2.0, 0.0]}), {0: np.array([0.0, 2.0])}, 0.5)
+        assert np.array_equal(store[0], np.array([1.0, 1.0]))
 
     def test_momentum_one_keeps_existing(self):
-        store = store_with({0: [2.0, 0.0]}, momentum=1.0)
-        old = store.entries[0].copy()
-        update_local(store, {0: np.array([9.0, 9.0])})
-        assert np.array_equal(store.entries[0], old)
+        store = store_with({0: [2.0, 0.0]})
+        old = store[0].copy()
+        store = update_local(store, {0: np.array([9.0, 9.0])}, 1.0)
+        assert np.array_equal(store[0], old)
 
     def test_momentum_zero_takes_fresh(self):
-        store = store_with({0: [2.0, 0.0]}, momentum=0.0)
         fresh = np.array([0.7, 0.1])
-        update_local(store, {0: fresh})
-        assert np.array_equal(store.entries[0], fresh)
+        store = update_local(store_with({0: [2.0, 0.0]}), {0: fresh}, 0.0)
+        assert np.array_equal(store[0], fresh)
 
     def test_new_class_inserted_verbatim(self):
-        store = store_with({0: [1.0, 1.0]})
         fresh = np.array([4.0, -1.0])
-        update_local(store, {7: fresh})
-        assert np.array_equal(store.entries[7], fresh)
-        assert np.array_equal(store.entries[0], np.array([1.0, 1.0]))
+        store = update_local(store_with({0: [1.0, 1.0]}), {7: fresh}, 0.5)
+        assert np.array_equal(store[7], fresh)
+        assert np.array_equal(store[0], np.array([1.0, 1.0]))
+
+    def test_returns_new_store_and_leaves_argument(self):
+        store = store_with({0: [2.0, 0.0], 1: [1.0, 1.0]})
+        vectors = {c: v.copy() for c, v in store.items()}
+        fresh = {0: np.array([0.0, 2.0]), 3: np.array([5.0, 5.0])}
+        folded = update_local(store, fresh, 0.5)
+        assert folded is not store and sorted(folded) == [0, 1, 3]
+        assert sorted(store) == [0, 1]
+        for c, v in vectors.items():
+            assert np.array_equal(store[c], v)
 
     def test_idempotent_for_any_momentum(self):
         rng = np.random.default_rng(2)
         for momentum in (0.0, 0.137, 0.5, 0.92, 1.0):
             vec = rng.standard_normal(6)
-            store = PrototypeStore(momentum=momentum)
-            store.entries[4] = vec.copy()
-            update_local(store, {4: vec.copy()})
-            assert np.array_equal(store.entries[4], vec)
+            store = update_local({4: vec.copy()}, {4: vec.copy()}, momentum)
+            assert np.array_equal(store[4], vec)
 
     def test_blend_is_convex_coordinate_wise(self):
         rng = np.random.default_rng(3)
@@ -81,10 +82,7 @@ class TestUpdateLocal:
             momentum = float(rng.uniform())
             old = rng.standard_normal(5)
             fresh = rng.standard_normal(5)
-            store = PrototypeStore(momentum=momentum)
-            store.entries[0] = old.copy()
-            update_local(store, {0: fresh})
-            blended = store.entries[0]
+            blended = update_local({0: old.copy()}, {0: fresh}, momentum)[0]
             assert np.all(blended >= np.minimum(old, fresh))
             assert np.all(blended <= np.maximum(old, fresh))
 
@@ -94,26 +92,33 @@ class TestUpdateLocal:
             momentum = float(rng.uniform())
             old = rng.standard_normal(4)
             fresh = rng.standard_normal(4)
-            store = PrototypeStore(momentum=momentum)
-            store.entries[0] = old.copy()
-            update_local(store, {0: fresh})
+            store = update_local({0: old.copy()}, {0: fresh}, momentum)
             want = momentum * old + (1.0 - momentum) * fresh
-            assert np.abs(store.entries[0] - want).max() < 1e-12
+            assert np.abs(store[0] - want).max() < 1e-12
 
 
 class TestUpdateGlobal:
     def test_existing_class_single_upload(self):
-        store = store_with({0: [4.0, 0.0]}, momentum=0.5)
-        update_global(store, [(1, {0: np.array([0.0, 4.0])})])
-        assert np.array_equal(store.entries[0], np.array([2.0, 2.0]))
+        store = update_global(store_with({0: [4.0, 0.0]}), [(1, {0: np.array([0.0, 4.0])})], 0.5)
+        assert np.array_equal(store[0], np.array([2.0, 2.0]))
 
     def test_new_class_plain_mean(self):
-        store = store_with({}, momentum=0.5)
-        update_global(
-            store,
+        store = update_global(
+            {},
             [(1, {5: np.array([1.0, 1.0])}), (2, {5: np.array([3.0, 3.0])})],
+            0.5,
         )
-        assert np.array_equal(store.entries[5], np.array([2.0, 2.0]))
+        assert np.array_equal(store[5], np.array([2.0, 2.0]))
+
+    def test_returns_new_store_and_leaves_argument(self):
+        store = store_with({0: [4.0, 0.0], 2: [1.0, 1.0]})
+        vectors = {c: v.copy() for c, v in store.items()}
+        uploads = [(1, {0: np.array([0.0, 4.0]), 6: np.array([3.0, 3.0])})]
+        folded = update_global(store, uploads, 0.5)
+        assert folded is not store and sorted(folded) == [0, 2, 6]
+        assert sorted(store) == [0, 2]
+        for c, v in vectors.items():
+            assert np.array_equal(store[c], v)
 
     def test_five_client_formula_oracle(self):
         rng = np.random.default_rng(5)
@@ -121,36 +126,36 @@ class TestUpdateGlobal:
             momentum = float(rng.uniform())
             old = rng.standard_normal(3)
             uploads = [(i, {0: rng.standard_normal(3)}) for i in range(5)]
-            store = PrototypeStore(momentum=momentum)
-            store.entries[0] = old.copy()
-            update_global(store, uploads)
+            store = update_global({0: old.copy()}, uploads, momentum)
             mean = sum(protos[0] for _, protos in uploads) / 5
             want = momentum * old + (1.0 - momentum) * mean
-            assert np.abs(store.entries[0] - want).max() < 1e-12
+            assert np.abs(store[0] - want).max() < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         store = store_with({0: [1.0, 2.0]})
         with pytest.raises(ProtocolError):
             update_global(
-                store, [(1, {0: np.array([5.0, 5.0])}), (2, {1: np.array([1.0, 2.0, 3.0])})]
+                store,
+                [(1, {0: np.array([5.0, 5.0])}), (2, {1: np.array([1.0, 2.0, 3.0])})],
+                0.5,
             )
         # a rejected upload leaves the store untouched
-        assert store.classes() == [0] and np.array_equal(store.entries[0], [1.0, 2.0])
+        assert sorted(store) == [0] and np.array_equal(store[0], [1.0, 2.0])
         with pytest.raises(ProtocolError):
             update_global(
-                store_with({}),
+                {},
                 [(1, {3: np.array([1.0])}), (2, {3: np.array([1.0, 2.0])})],
+                0.5,
             )
 
     def test_converges_geometrically_to_shared_upload(self):
         momentum = 0.5
         target = np.array([1.0, -2.0, 0.5])
-        store = PrototypeStore(momentum=momentum)
-        store.entries[0] = np.array([10.0, 10.0, 10.0])
+        store = {0: np.array([10.0, 10.0, 10.0])}
         gaps = []
         for _ in range(6):
-            update_global(store, [(i, {0: target.copy()}) for i in range(4)])
-            gaps.append(float(np.abs(store.entries[0] - target).max()))
+            store = update_global(store, [(i, {0: target.copy()}) for i in range(4)], momentum)
+            gaps.append(float(np.abs(store[0] - target).max()))
         for before, after in zip(gaps, gaps[1:]):
             assert after == pytest.approx(momentum * before, rel=1e-9)
 
@@ -170,7 +175,7 @@ class TestPredict:
 
     def test_empty_store_raises(self):
         with pytest.raises(ProtocolError, match="no prototypes available"):
-            predict_batch(np.array([[0.0]]), PrototypeStore())
+            predict_batch(np.array([[0.0]]), {})
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
@@ -179,7 +184,7 @@ class TestPredict:
         embeddings = rng.standard_normal((20, 4))
         base = predict_batch(embeddings, store)
         shifted_store = store_with(
-            {c: (store.entries[c] + shift).tolist() for c in range(5)}
+            {c: (store[c] + shift).tolist() for c in range(5)}
         )
         shifted = predict_batch(embeddings + shift, shifted_store)
         assert np.array_equal(base, shifted)
@@ -189,22 +194,27 @@ class TestInferenceStore:
     def test_gp_uses_global_only(self):
         local = store_with({0: [0.0, 0.0]})
         glob = store_with({0: [1.0, 1.0], 1: [2.0, 2.0]})
-        resolved = inference_store(local, glob, "gp")
-        assert np.array_equal(resolved.entries[0], np.array([1.0, 1.0]))
+        resolved = inference_store(local, glob, "gp", scope={0, 1})
+        assert np.array_equal(resolved[0], np.array([1.0, 1.0]))
 
     def test_lp_prefers_local_with_global_fallback(self):
         local = store_with({0: [0.0, 0.0]})
         glob = store_with({0: [1.0, 1.0], 1: [2.0, 2.0]})
-        resolved = inference_store(local, glob, "lp")
-        assert np.array_equal(resolved.entries[0], np.array([0.0, 0.0]))
-        assert np.array_equal(resolved.entries[1], np.array([2.0, 2.0]))
+        resolved = inference_store(local, glob, "lp", scope={0, 1})
+        assert np.array_equal(resolved[0], np.array([0.0, 0.0]))
+        assert np.array_equal(resolved[1], np.array([2.0, 2.0]))
+
+    def test_lp_fallback_stays_in_scope(self):
+        local = store_with({0: [0.0, 0.0]})
+        glob = store_with({1: [2.0, 2.0], 2: [3.0, 3.0]})
+        assert sorted(inference_store(local, glob, "lp", scope={0, 1})) == [0, 1]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            inference_store(PrototypeStore(), PrototypeStore(), "both")
+            inference_store({}, {}, "both", scope=set())
 
 
 class TestStoreValidationAndCsv:
     def test_momentum_range(self):
         with pytest.raises(ConfigError):
-            PrototypeStore(momentum=1.5)
+            update_local({}, {}, 1.5)
