@@ -249,7 +249,8 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     split disjointly among its assignees; each client's share is then
     spread over its stages, with an 80/20 train/test split per stage.
     A stage left without samples is tolerated here and skipped by the
-    training protocol with a warning.
+    training protocol with a warning. A partition in which no client holds
+    any test sample raises ``DataError``: no accuracy could be measured.
     """
     num_classes = int(data.labels.max()) + 1
     n, s, m = plan.num_clients, plan.classes_per_client, plan.num_stages
@@ -326,4 +327,10 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
                 )
             )
         timelines.append(ClientTimeline(client_id=i, stages=stages))
+    if not any(len(stage.test) for t in timelines for stage in t.stages):
+        raise DataError(
+            f"no client holds any test sample: {len(data)} samples over {n} clients x {m} "
+            "stages leave stage parts of 1-2 samples, which go wholly to training; "
+            "use fewer clients or stages, or more samples"
+        )
     return timelines

@@ -10,6 +10,11 @@ where the local relation is a temperature-softened KL divergence between a
 remembered class prototype and the current batch's class-mean embedding,
 and the global relation is a count-weighted MSE pulling batch prototypes
 toward the server's global ones.
+
+Both relation terms act on the class-mean embeddings, so only
+cross-entropy reaches the head. Training phases that step the head alone
+therefore run under ``CE_ONLY``; their steps are bit-identical to those
+taken under the full loss.
 """
 
 from __future__ import annotations
@@ -225,9 +230,8 @@ def grad_total(
     pre_act = inputs @ params.shared.weight + params.shared.bias
     embedding = np.maximum(pre_act, 0.0)
     logits = embedding @ params.head.weight + params.head.bias
-    probs = softmax(logits)
 
-    d_logits = probs.copy()
+    d_logits = softmax(logits)
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
 
@@ -289,6 +293,9 @@ def _train(
     Each step takes the full gradient and moves only the phase's layers
     (``"shared"``/``"head"``), in order. With a proximal anchor, each stepped
     layer is also pulled toward the anchor with strength ``prox_coeff``.
+    Only cross-entropy reaches the head, so a phase that does not step
+    ``"shared"`` takes its gradients under ``CE_ONLY``: the head gradients
+    are bit-identical and the relation terms are not computed.
 
     The only writer of arrays in the package, and only into the copy of
     ``params`` made on entry. Every other array is shared by reference, no
@@ -303,12 +310,13 @@ def _train(
     prox = prox_anchor is not None and prox_coeff > 0.0
 
     for layers, epochs in phases:
+        phase_weights = weights if "shared" in layers else CE_ONLY
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, opt.batch_size):
                 sel = order[start : start + opt.batch_size]
                 grads = grad_total(
-                    params, inputs[sel], labels[sel], old_protos, global_protos, weights
+                    params, inputs[sel], labels[sel], old_protos, global_protos, phase_weights
                 )
                 for name in layers:
                     layer, grad = getattr(params, name), getattr(grads, name)

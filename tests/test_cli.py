@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +290,19 @@ class TestMainEntry:
             code = main(["--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 4
         assert "update is not finite" in capsys.readouterr().err
+
+    def test_no_test_data_exit_code(self, tmp_path, capsys):
+        # desk.cfg spread over 20 stages: every stage part holds 1-2 samples,
+        # all of them training samples, so no accuracy can be measured.
+        desk = (Path(__file__).resolve().parents[1] / "configs" / "desk.cfg").read_text()
+        thin = desk.replace("rounds = 30", "rounds = 1")
+        thin = thin.replace("num_stages = 5", "num_stages = 20")
+        assert "\nrounds = 1\n" in thin and "\nnum_stages = 20\n" in thin
+        path = tmp_path / "thin.cfg"
+        path.write_text(thin)
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "no client holds any test sample" in capsys.readouterr().err
 
     def test_algorithm_override_flag(self, tmp_path):
         path = write_fast_config(tmp_path)

@@ -244,6 +244,15 @@ class TestPartitionClients:
                 0,
             )
 
+    def test_no_test_sample_anywhere_rejected(self):
+        # Each class has one holder and two samples: both go to training.
+        data = make_synthetic_dataset(
+            DatasetSpec(num_classes=4, input_dim=4, samples_per_class=2), 3
+        )
+        plan = PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1)
+        with pytest.raises(DataError, match="no client holds any test sample"):
+            partition_clients(data, plan, 0)
+
     def test_impossible_coverage_rejected(self):
         with pytest.raises(ConfigError):
             partition_clients(

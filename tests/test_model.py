@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from gldpsim import model
 from gldpsim.datagen import LabeledSet, StageTask
 from gldpsim.errors import ConfigError, DataError
 from gldpsim.model import (
+    CE_ONLY,
     LayerParams,
     LossWeights,
     ModelParams,
@@ -227,6 +229,23 @@ class TestGradTotal:
         ) ** 0.5
         assert norm < 1e-10
 
+    def test_head_gradient_is_cross_entropy_only(self):
+        # The invariant behind head-only phases running under CE_ONLY.
+        rng = np.random.default_rng(516)
+        for weights in (LossWeights(), LossWeights(0.3, 0.01), LossWeights(1.0, 0.5)):
+            for _ in range(20):
+                case = random_configuration(rng)
+                full = grad_total(*case, weights)
+                plain = grad_total(*case, CE_ONLY)
+                assert not np.array_equal(full.shared.weight, plain.shared.weight)
+                assert full.head.weight.tobytes() == plain.head.weight.tobytes()
+                assert full.head.bias.tobytes() == plain.head.bias.tobytes()
+
+
+def param_arrays(grads):
+    """The four arrays of a ModelParams (gradients or parameters)."""
+    return [grads.shared.weight, grads.shared.bias, grads.head.weight, grads.head.bias]
+
 
 def one_stage(rng, num_classes=2, samples=20, input_dim=3):
     inputs = rng.standard_normal((samples, input_dim)) + 3.0 * rng.integers(
@@ -355,6 +374,25 @@ class TestLocalUpdate:
         b, _ = local_update(params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(99))
         assert np.array_equal(a.shared.weight, b.shared.weight)
         assert np.array_equal(a.head.weight, b.head.weight)
+
+    def test_head_phase_under_ce_only_matches_full_loss(self, monkeypatch):
+        # Head epochs skip the relation terms; with them put back, every
+        # parameter and prototype comes out bit-identical.
+        rng = np.random.default_rng(14)
+        stage = one_stage(rng)
+        params = init_params(3, 4, 2, [14, 14])
+        old = {0: rng.standard_normal(4)}
+        glob = {0: rng.standard_normal(4), 1: rng.standard_normal(4)}
+        opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=3, batch_size=6)
+        weights = LossWeights(relation_mix=0.3, temperature=0.5)
+        fast = local_update(params, stage, old, glob, opt, weights, np.random.default_rng(7))
+        monkeypatch.setattr(model, "CE_ONLY", weights)
+        full = local_update(params, stage, old, glob, opt, weights, np.random.default_rng(7))
+        for got, want in zip(param_arrays(fast[0]), param_arrays(full[0])):
+            assert got.tobytes() == want.tobytes()
+        assert fast[1].keys() == full[1].keys()
+        for c in fast[1]:
+            assert fast[1][c].tobytes() == full[1][c].tobytes()
 
 
 class TestJointUpdate:
