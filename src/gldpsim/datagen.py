@@ -248,9 +248,10 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     until each class has at least one assignee); each class's samples are
     split disjointly among its assignees; each client's share is then
     spread over its stages, with an 80/20 train/test split per stage.
-    A stage left without samples is tolerated here and skipped by the
-    training protocol with a warning. A partition in which no client holds
-    any test sample raises ``DataError``: no accuracy could be measured.
+    A stage left without training samples is tolerated here, and the
+    training protocol skips it; one warning per partition names every such
+    (client, stage) pair. A partition in which no client holds any test
+    sample raises ``DataError``: no accuracy could be measured.
     """
     num_classes = int(data.labels.max()) + 1
     n, s, m = plan.num_clients, plan.classes_per_client, plan.num_stages
@@ -289,6 +290,7 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
             shares[holder][c] = parts[(j + roll) % len(holders)]
 
     timelines = []
+    empty: list[str] = []
     for i in range(n):
         drawn_order = [int(c) for c in assignments[i]]
         effective = [c for c in drawn_order if shares[i][c].size > 0]
@@ -317,7 +319,7 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
             train_idx = np.concatenate(train_parts) if train_parts else np.empty(0, dtype=np.int64)
             test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
             if train_idx.size == 0:
-                log.warning("client %d stage %d has no training samples", i, j + 1)
+                empty.append(f"{i}:{j + 1}")
             stages.append(
                 StageTask(
                     stage_index=j + 1,
@@ -327,6 +329,9 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
                 )
             )
         timelines.append(ClientTimeline(client_id=i, stages=stages))
+    if empty:
+        log.warning("%d of %d stages have no training samples and are skipped (client:stage): %s",
+                    len(empty), n * m, " ".join(empty))
     if not any(len(stage.test) for t in timelines for stage in t.stages):
         raise DataError(
             f"no client holds any test sample: {len(data)} samples over {n} clients x {m} "

@@ -21,7 +21,6 @@ server states in :func:`run_stage`, the round index in :func:`run_round`.
 from __future__ import annotations
 
 import json
-import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -68,8 +67,6 @@ from .prototypes import (
     update_global,
     update_local,
 )
-
-log = logging.getLogger(__name__)
 
 ALGORITHMS = ("GLDP", "FedAvg", "FedRep", "FedProx")
 # Algorithms whose head never leaves the client.
@@ -243,7 +240,8 @@ def run_stage(
 ) -> list[int]:
     """Run one stage task for the selected clients and aggregate.
 
-    Clients whose stage training set is empty are skipped with a warning.
+    Clients whose stage training set is empty are skipped without a
+    message; :func:`~gldpsim.datagen.partition_clients` already warned.
     The result is independent of the order of ``selected``: client rng
     streams are keyed by (seed, round, stage, client) and the reduction
     iterates clients in ascending id order. Returns the participants.
@@ -269,10 +267,6 @@ def run_stage(
             )
 
         if len(stage.train) == 0:
-            log.warning(
-                "round %d stage %d: client %d has no training data, skipped",
-                round_index, stage_index, cid,
-            )
             continue
 
         rng = np.random.default_rng(

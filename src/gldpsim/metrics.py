@@ -62,16 +62,6 @@ class MetricsLog:
                     [r.round_index, r.stage_index, r.algorithm, r.metric, r.scope, repr(r.value)]
                 )
 
-    @staticmethod
-    def from_csv(path: str | Path) -> "MetricsLog":
-        out = MetricsLog()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                out.add(int(row[0]), int(row[1]), row[2], row[3], row[4], float(row[5]))
-        return out
-
 
 def accuracy_prototypes(
     shared: LayerParams, store: dict[int, np.ndarray], data: LabeledSet

@@ -1,24 +1,14 @@
 import json
-import re
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gldpsim.cli import (
-    ablation_variants,
-    emit_svg,
-    main,
-    parse_config,
-    print_config,
-    run,
-    svg_point,
-)
+from gldpsim.cli import ablation_variants, main, parse_config, print_config, run
 from gldpsim.datagen import DatasetSpec, PartitionPlan
 from gldpsim.errors import ConfigError
 from gldpsim.federation import ExperimentConfig
-from gldpsim.metrics import MetricsLog
 from gldpsim.model import OptimizerConfig
 
 
@@ -84,6 +74,9 @@ KEY_CASES = [
 ]
 
 
+FLOAT_KEYS = [case[0] for case in KEY_CASES if isinstance(case[3], float)]
+
+
 def with_attribute(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
     owner, _, attr = path.partition(".")
     if not attr:
@@ -145,6 +138,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"bad\.cfg:1"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_float_names_line(self, tmp_path, key, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"rounds = 3\n{key} = {text}\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:2: invalid value for '{key}'"):
+            parse_config(path)
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + "rounds = 3\n".encode("utf-16-le"))
+        with pytest.raises(ConfigError, match=r"utf16\.cfg: not a UTF-8 text file"):
+            parse_config(path)
+
     def test_parse_print_fixpoint_on_desk_config(self, tmp_path):
         path = tmp_path / "desk.cfg"
         path.write_text(
@@ -195,64 +202,6 @@ class TestRun:
         assert variants["no_local_relation"].weights.relation_mix == 0.0
         assert variants["no_global_relation"].weights.relation_mix == 1.0
         assert variants["no_relations"].algorithm == "FedRep"
-
-
-class TestEmitSvg:
-    def test_empty_csv_gives_valid_axes_only_svg(self, tmp_path):
-        csv_path = tmp_path / "empty.csv"
-        MetricsLog().to_csv(csv_path)
-        out = emit_svg(csv_path, "A_sel", tmp_path / "plot.svg")
-        text = out.read_text()
-        assert text.startswith("<svg ")
-        assert "polyline" not in text
-        assert text.rstrip().endswith("</svg>")
-
-    def test_two_point_series_has_two_vertices(self, tmp_path):
-        mlog = MetricsLog()
-        mlog.add(1, 1, "GLDP", "A_sel", "ALL", 0.4)
-        mlog.add(2, 1, "GLDP", "A_sel", "ALL", 0.6)
-        csv_path = tmp_path / "two.csv"
-        mlog.to_csv(csv_path)
-        text = emit_svg(csv_path, "A_sel", tmp_path / "plot.svg").read_text()
-        match = re.search(r'points="([^"]+)"', text)
-        assert match is not None
-        assert len(match.group(1).split()) == 2
-
-    def test_coordinates_match_affine_mapping_oracle(self, tmp_path):
-        mlog = MetricsLog()
-        points = [(1, 0.0), (3, 0.5), (5, 1.0)]
-        for round_index, value in points:
-            mlog.add(round_index, 1, "GLDP", "A_sel", "ALL", value)
-        csv_path = tmp_path / "three.csv"
-        mlog.to_csv(csv_path)
-        text = emit_svg(csv_path, "A_sel", tmp_path / "plot.svg").read_text()
-        match = re.search(r'points="([^"]+)"', text)
-        got = [tuple(float(v) for v in pair.split(",")) for pair in match.group(1).split()]
-        # independent affine mapping: x in [60, 620] over rounds 1..5, y
-        # spans [355 (value 0), 20 (value 1)]
-        for (round_index, value), (x, y) in zip(points, got):
-            want_x = 60 + (round_index - 1) * (640 - 60 - 20) / (5 - 1)
-            want_y = (400 - 45) - value * (400 - 20 - 45)
-            assert x == pytest.approx(want_x, abs=0.01)
-            assert y == pytest.approx(want_y, abs=0.01)
-
-    def test_svg_point_helper_matches(self):
-        x, y = svg_point(3.0, 0.5, 1.0, 5.0)
-        assert x == pytest.approx(60 + 2 * 560 / 4)
-        assert y == pytest.approx(355 - 0.5 * 335)
-
-    def test_stage_filtering_takes_last_stage_per_round(self, tmp_path):
-        mlog = MetricsLog()
-        mlog.add(1, 1, "GLDP", "A_sel", "ALL", 0.2)
-        mlog.add(1, 2, "GLDP", "A_sel", "ALL", 0.8)
-        csv_path = tmp_path / "multi.csv"
-        mlog.to_csv(csv_path)
-        text = emit_svg(csv_path, "A_sel", tmp_path / "plot.svg").read_text()
-        match = re.search(r'points="([^"]+)"', text)
-        pairs = match.group(1).split()
-        assert len(pairs) == 1
-        _, y = (float(v) for v in pairs[0].split(","))
-        assert y == pytest.approx(355 - 0.8 * 335, abs=0.01)
 
 
 def write_fast_config(tmp_path):
@@ -312,23 +261,6 @@ class TestMainEntry:
         assert code == 0
         assert (tmp_path / "out" / "fast_fedavg_seed0.csv").exists()
 
-    def test_env_overrides_with_prefix(self, tmp_path, monkeypatch):
-        path = write_fast_config(tmp_path)
-        monkeypatch.setenv("GLDPSIM_ALGORITHM", "FedRep")
-        monkeypatch.setenv("GLDPSIM_OUT", str(tmp_path / "envout"))
-        code = main(["--config", str(path)])
-        assert code == 0
-        assert (tmp_path / "envout" / "fast_fedrep_seed0.csv").exists()
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        path = write_fast_config(tmp_path)
-        monkeypatch.setenv("GLDPSIM_ALGORITHM", "FedRep")
-        code = main(
-            ["--config", str(path), "--algorithm", "FedProx", "--out", str(tmp_path / "out")]
-        )
-        assert code == 0
-        assert (tmp_path / "out" / "fast_fedprox_seed0.csv").exists()
-
     def test_ablation_flag_emits_four_variants(self, tmp_path):
         path = write_fast_config(tmp_path)
         code = main(
@@ -338,36 +270,12 @@ class TestMainEntry:
         for variant in ("full", "no_local_relation", "no_global_relation", "no_relations"):
             assert (tmp_path / "out" / f"fast_{variant}_seed0.csv").exists()
 
-    def test_emit_svg_flag(self, tmp_path):
+    def test_repeated_seed_is_config_error(self, tmp_path, capsys):
         path = write_fast_config(tmp_path)
-        code = main(
-            [
-                "--config", str(path), "--emit-svg", "--seeds", "0,1",
-                "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "out" / "A_sel.svg").exists()
-
-    def test_boolean_env_mirrors_parse_like_config_booleans(self, tmp_path, monkeypatch, capsys):
-        path = write_fast_config(tmp_path)
-        monkeypatch.setenv("GLDPSIM_ABLATION", "true")
-        monkeypatch.setenv("GLDPSIM_EMIT_SVG", "yes")
-        assert main(["--config", str(path), "--out", str(tmp_path / "on")]) == 0
-        assert (tmp_path / "on" / "fast_no_relations_seed0.csv").exists()
-        assert (tmp_path / "on" / "A_sel.svg").exists()
-
-        monkeypatch.setenv("GLDPSIM_ABLATION", "false")
-        monkeypatch.setenv("GLDPSIM_EMIT_SVG", "0")
-        assert main(["--config", str(path), "--out", str(tmp_path / "off")]) == 0
-        assert (tmp_path / "off" / "fast_gldp_seed0.csv").exists()
-        assert not (tmp_path / "off" / "A_sel.svg").exists()
-
-        for name in ("GLDPSIM_ABLATION", "GLDPSIM_EMIT_SVG"):
-            monkeypatch.setenv(name, "maybe")
-            assert main(["--config", str(path), "--out", str(tmp_path / "bad")]) == 2
-            assert name in capsys.readouterr().err
-            monkeypatch.delenv(name)
+        code = main(["--config", str(path), "--seeds", "0,1,0", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_records_runs(self, tmp_path):
         path = write_fast_config(tmp_path)

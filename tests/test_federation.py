@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +199,32 @@ class TestRunStage:
                 for s in client.timeline.stages[:stage_index]:
                     seen |= set(int(v) for v in np.unique(s.train.labels))
                 assert seen <= set(client.local_protos)
+
+
+    def test_empty_stages_warned_once_per_partition(self, caplog):
+        config = ExperimentConfig(rounds=1)  # the desk layout
+        # at_level also lifts the logging.disable() of the acceptance module
+        with caplog.at_level(logging.DEBUG):
+            server, clients = initialize_experiment(config)
+            empty = [
+                f"{cid}:{stage.stage_index}"
+                for cid, client in sorted(clients.items())
+                for stage in client.timeline.stages
+                if len(stage.train) == 0
+            ]
+            assert empty
+            [record] = caplog.records
+            assert record.levelno == logging.WARNING
+            assert record.getMessage().endswith("(client:stage): " + " ".join(empty))
+
+            caplog.clear()
+            server.round_index = 1
+            skipped = 0
+            for stage_index in range(1, config.plan.num_stages + 1):
+                participants = run_stage(server, clients, sorted(clients), stage_index, config)
+                skipped += len(clients) - len(participants)
+            assert skipped == len(empty)
+            assert caplog.records == []
 
 
 class TestFixedPoint:

@@ -191,11 +191,11 @@ class TestMetricsLogCsv:
         mlog.add(1, 2, "GLDP", "A_sel", "ALL", 0.7512345678901234)
         path = tmp_path / "metrics.csv"
         mlog.to_csv(path)
-        first_line = path.read_text().splitlines()[0]
-        assert first_line == "round,stage,algorithm,metric,scope,value"
-        loaded = MetricsLog.from_csv(path)
-        assert len(loaded.rows) == 2
-        assert loaded.rows[1].value == 0.7512345678901234
+        assert path.read_text().splitlines() == [
+            "round,stage,algorithm,metric,scope,value",
+            "1,2,GLDP,A_sel,3,0.75",
+            "1,2,GLDP,A_sel,ALL,0.7512345678901234",
+        ]
 
     def test_values_stay_in_unit_interval(self):
         rng = np.random.default_rng(8)
