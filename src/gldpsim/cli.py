@@ -75,6 +75,10 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object], str]] = {
 }
 
 
+# dataclass field -> config key, to report range errors under the key written
+_FIELD_KEYS = {path.rpartition(".")[2]: key for key, (path, _, _) in _CONFIG_KEYS.items()}
+
+
 def _config_to_values(config: ExperimentConfig) -> dict[str, object]:
     return {key: attrgetter(path)(config) for key, (path, _, _) in _CONFIG_KEYS.items()}
 
@@ -97,6 +101,7 @@ def _values_to_config(values: dict[str, object]) -> ExperimentConfig:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read a ``key = value`` config file, filling defaults for absent keys."""
     values = _config_to_values(ExperimentConfig())
+    key_lines: dict[str, int] = {}
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -117,10 +122,17 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             values[key] = parser(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {exc}") from exc
+        key_lines[key] = lineno
     try:
         return _values_to_config(values)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # Range checks name the dataclass field first; report the key instead.
+        field_name, _, rest = str(exc).partition(" ")
+        key = _FIELD_KEYS.get(field_name)
+        if key is None:
+            raise ConfigError(f"{path}: {exc}") from exc
+        where = f"{path}:{key_lines[key]}" if key in key_lines else str(path)
+        raise ConfigError(f"{where}: {key} {rest}") from exc
 
 
 def print_config(config: ExperimentConfig) -> str:
@@ -254,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic federated-learning simulator with prototype exchange.",
     )
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seeds", help="comma-separated experiment seeds (default: 0)")
+    parser.add_argument(
+        "--seeds", help="comma-separated experiment seeds (default: the config file's seed)"
+    )
     parser.add_argument("--algorithm", choices=ALGORITHMS, help="override the algorithm")
     parser.add_argument(
         "--ablation", action="store_true",

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,7 +115,7 @@ class PartitionPlan:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageTask:
     """One stage of a client's timeline: train/test split over a class subset."""
 
@@ -125,32 +126,82 @@ class StageTask:
 
     def __post_init__(self) -> None:
         for name, part in (("train", self.train), ("test", self.test)):
-            present = set(int(v) for v in np.unique(part.labels))
-            if not present <= set(self.class_set):
+            present = np.unique(part.labels).tolist()
+            if not self.class_set.issuperset(present):
                 raise DataError(
-                    f"stage {self.stage_index} {name} labels {sorted(present)} "
+                    f"stage {self.stage_index} {name} labels {present} "
                     f"outside class set {sorted(self.class_set)}"
                 )
 
 
-@dataclass
-class ClientTimeline:
-    client_id: int
-    stages: list[StageTask] = field(default_factory=list)
+def _read_only(data: LabeledSet) -> LabeledSet:
+    for array in (data.inputs, data.labels, data.ids):
+        array.flags.writeable = False
+    return data
 
-    def test_union(self, upto_stage: int | None = None) -> LabeledSet:
-        """Union of test sets for stages 1..upto_stage, de-duplicated by id."""
-        stages = self.stages if upto_stage is None else self.stages[:upto_stage]
-        parts = [s.test for s in stages if len(s.test) > 0]
+
+@dataclass(frozen=True)
+class ClientTimeline:
+    """A client's stage tasks, fixed once built.
+
+    The test union of all stages is built on first use and shared by every
+    caller, so its arrays are read-only; the union of stages 1..m is a
+    read-only view of its first rows.
+    """
+
+    client_id: int
+    stages: tuple[StageTask, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stages", tuple(self.stages))
+
+    @cached_property
+    def classes(self) -> frozenset[int]:
+        """Every class any stage holds."""
+        return frozenset().union(*(stage.class_set for stage in self.stages))
+
+    @cached_property
+    def _test_union_sizes(self) -> tuple[LabeledSet, tuple[int, ...]]:
+        """The test union of all stages, and the size of the union of stages
+        1..k for k = 0..M.
+
+        The first occurrence of an id among stages 1..k is its first
+        occurrence among all M stages, so the union of stages 1..k is the
+        rows of the whole de-duplicated union that come from stages 1..k:
+        a prefix, since the rows keep the order of the stages.
+        """
+        parts = [s.test for s in self.stages if len(s.test) > 0]
         if not parts:
-            dim = self.stages[0].train.inputs.shape[1] if self.stages else 0
-            return empty_labeled_set(dim)
-        inputs = np.concatenate([p.inputs for p in parts])
-        labels = np.concatenate([p.labels for p in parts])
+            return self._empty_test_set(), (0,) * (len(self.stages) + 1)
         ids = np.concatenate([p.ids for p in parts])
         _, first = np.unique(ids, return_index=True)
         keep = np.sort(first)
-        return LabeledSet(inputs[keep], labels[keep], ids[keep])
+        union = _read_only(LabeledSet(
+            np.concatenate([p.inputs for p in parts])[keep],
+            np.concatenate([p.labels for p in parts])[keep],
+            ids[keep],
+        ))
+        bounds = np.cumsum([0, *(len(s.test) for s in self.stages)])
+        return union, tuple(np.searchsorted(keep, bounds).tolist())
+
+    def _empty_test_set(self) -> LabeledSet:
+        dim = self.stages[0].train.inputs.shape[1] if self.stages else 0
+        return _read_only(empty_labeled_set(dim))
+
+    def test_union(self, upto_stage: int | None = None) -> LabeledSet:
+        """Union of test sets for stages 1..upto_stage, de-duplicated by id.
+
+        ``upto_stage`` slices the stages as ``stages[:upto_stage]`` does.
+        """
+        union, sizes = self._test_union_sizes
+        size = sizes[len(self.stages[:upto_stage])]
+        if size == len(union):
+            return union
+        if size == 0:
+            return self._empty_test_set()
+        # Made per call: holding one per stage of every client raised the
+        # population workload's peak RSS by ~2%.
+        return LabeledSet(union.inputs[:size], union.labels[:size], union.ids[:size])
 
 
 def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:

@@ -368,9 +368,9 @@ def _client_store(
     client: ClientState, server: ServerState, config: ExperimentConfig
 ) -> dict[int, np.ndarray]:
     """The store a GLDP client predicts with; its scope is every class it holds."""
-    scope = set().union(*(stage.class_set for stage in client.timeline.stages))
     return inference_store(
-        client.local_protos, server.global_protos, config.inference_mode, scope=scope
+        client.local_protos, server.global_protos, config.inference_mode,
+        scope=client.timeline.classes,
     )
 
 

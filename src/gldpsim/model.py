@@ -61,11 +61,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.step_size < 0:
             raise ConfigError(f"step_size must be non-negative, got {self.step_size}")
-        if self.shared_epochs < 1 or self.head_epochs < 1:
-            raise ConfigError(
-                f"epoch counts must be positive, got shared={self.shared_epochs} "
-                f"head={self.head_epochs}"
-            )
+        if self.shared_epochs < 1:
+            raise ConfigError(f"shared_epochs must be positive, got {self.shared_epochs}")
+        if self.head_epochs < 1:
+            raise ConfigError(f"head_epochs must be positive, got {self.head_epochs}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.batch_size < 1:

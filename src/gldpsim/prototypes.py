@@ -108,7 +108,7 @@ def inference_store(
     local: dict[int, np.ndarray],
     global_store: dict[int, np.ndarray],
     mode: str,
-    scope: set[int],
+    scope: frozenset[int],
 ) -> dict[int, np.ndarray]:
     """Resolve the store used at test time.
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gldpsim.datagen import LabeledSet, empty_labeled_set
 from gldpsim.model import init_params, loss_total
 
 
@@ -47,3 +48,19 @@ def random_configuration(rng, with_protos=True):
         old = {c: rng.standard_normal(hidden) for c in present[: max(1, len(present) - 1)]}
         glob = {c: rng.standard_normal(hidden) for c in present}
     return params, inputs, labels, old, glob
+
+
+def rebuild_test_union(timeline, upto_stage=None):
+    """Test union of stages[:upto_stage], rebuilt from the stage test sets:
+    concatenate, then keep each id's first occurrence in order."""
+    stages = timeline.stages if upto_stage is None else timeline.stages[:upto_stage]
+    parts = [s.test for s in stages if len(s.test) > 0]
+    if not parts:
+        dim = timeline.stages[0].train.inputs.shape[1] if timeline.stages else 0
+        return empty_labeled_set(dim)
+    inputs = np.concatenate([p.inputs for p in parts])
+    labels = np.concatenate([p.labels for p in parts])
+    ids = np.concatenate([p.ids for p in parts])
+    _, first = np.unique(ids, return_index=True)
+    keep = np.sort(first)
+    return LabeledSet(inputs[keep], labels[keep], ids[keep])

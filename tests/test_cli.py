@@ -76,6 +76,35 @@ KEY_CASES = [
 
 FLOAT_KEYS = [case[0] for case in KEY_CASES if isinstance(case[3], float)]
 
+# Every key with a range check on its value alone: (key, bad value, the rest
+# of the message after the key).
+RANGE_CASES = [
+    ("algorithm", "SGD", "must be one of ('GLDP', 'FedAvg', 'FedRep', 'FedProx'), got 'SGD'"),
+    ("rounds", "-1", "must be non-negative, got -1"),
+    ("clients_per_round", "0", "must be in [1, 20], got 0"),
+    ("num_clients", "0", "must be >= 1, got 0"),
+    ("classes_per_client", "0", "must be >= 1, got 0"),
+    ("num_stages", "0", "must be >= 1, got 0"),
+    ("imbalance_factor", "0.5", "must be >= 1, got 0.5"),
+    ("num_classes", "1", "must be >= 2, got 1"),
+    ("input_dim", "1", "must be >= 2, got 1"),
+    ("samples_per_class", "0", "must be >= 1, got 0"),
+    ("center_scale", "0", "must be positive, got 0.0"),
+    ("noise_sigma", "-1", "must be positive, got -1.0"),
+    ("hidden_dim", "0", "must be positive, got 0"),
+    ("step_size", "-0.5", "must be non-negative, got -0.5"),
+    ("shared_epochs", "0", "must be positive, got 0"),
+    ("head_epochs", "0", "must be positive, got 0"),
+    ("weight_decay", "-1", "must be non-negative, got -1.0"),
+    ("batch_size", "0", "must be positive, got 0"),
+    ("lambda", "1.3", "must be in [0, 1], got 1.3"),
+    ("kl_temperature", "0", "must be positive, got 0.0"),
+    ("beta", "1.5", "must be in [0, 1], got 1.5"),
+    ("fedprox_mu", "-0.1", "must be non-negative, got -0.1"),
+    ("inference", "knn", "must be one of ('gp', 'lp'), got 'knn'"),
+    ("seed", "-1", "must be a non-negative integer, got -1"),
+]
+
 
 def with_attribute(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
     owner, _, attr = path.partition(".")
@@ -125,6 +154,18 @@ class TestParseConfig:
         path.write_text("lambda = 1.3\n")
         with pytest.raises(ConfigError, match="relation_mix|lambda"):
             parse_config(path)
+
+    def test_range_cases_cover_every_non_boolean_key(self):
+        non_boolean = [case[0] for case in KEY_CASES if not isinstance(case[3], bool)]
+        assert [case[0] for case in RANGE_CASES] == non_boolean
+
+    @pytest.mark.parametrize("key, text, rest", RANGE_CASES, ids=[c[0] for c in RANGE_CASES])
+    def test_range_error_names_key_and_line(self, tmp_path, capsys, key, text, rest):
+        path = tmp_path / "r.cfg"
+        path.write_text(f"# range check\nrounds = 3\n{key} = {text}\n")
+        code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {path}:3: {key} {rest}\n"
 
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -276,6 +317,19 @@ class TestMainEntry:
         assert code == 2
         assert "seeds must be distinct" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_seeds_default_is_config_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(default: 0)" not in help_text
+        assert "(default: the config file's seed)" in help_text
+        path = tmp_path / "seven.cfg"
+        path.write_text(FAST_FILE + "seed = 7\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").glob("*_seed*.csv")) == [
+            "seven_gldp_seed7.csv"
+        ]
 
     def test_manifest_records_runs(self, tmp_path):
         path = write_fast_config(tmp_path)

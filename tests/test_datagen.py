@@ -1,6 +1,12 @@
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gldpsim.cli import parse_config
 from gldpsim.datagen import (
     ClientTimeline,
     DatasetSpec,
@@ -14,6 +20,7 @@ from gldpsim.datagen import (
 )
 from gldpsim.errors import ConfigError, DataError
 from gldpsim.prototypes import compute_counts
+from oracles import rebuild_test_union
 
 
 def small_spec(**overrides):
@@ -286,3 +293,78 @@ class TestInvariantGuards:
         union = timeline.test_union()
         assert len(union) == 2
         assert sorted(union.ids.tolist()) == [2, 3]
+
+
+def assert_same_set(got, want):
+    for name in ("inputs", "labels", "ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def desk_timelines(seed):
+    config = parse_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+    data = make_synthetic_dataset(config.dataset, seed)
+    longtailed = apply_longtail(data, config.plan.imbalance_factor, seed)
+    return partition_clients(longtailed, config.plan, seed)
+
+
+def upto_values(num_stages):
+    return [None, *range(-num_stages - 1, num_stages + 2)]
+
+
+@st.composite
+def hand_built_timelines(draw):
+    """Timelines of 0-5 stages whose test sets may be empty and repeat ids
+    across and within stages; a repeated id may carry different rows. The
+    dtypes vary between timelines, not within one."""
+    dim = draw(st.integers(1, 3))
+    float_type = draw(st.sampled_from([np.float64, np.float32]))
+    int_type = draw(st.sampled_from([np.int64, np.int32]))
+    stages = []
+    for index in range(1, draw(st.integers(0, 5)) + 1):
+        rows = {}
+        for part in ("train", "test"):
+            ids = draw(st.lists(st.integers(0, 6), max_size=5))
+            labels = draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+            values = draw(st.lists(st.floats(-5, 5), min_size=len(ids) * dim,
+                                   max_size=len(ids) * dim))
+            rows[part] = LabeledSet(
+                np.array(values, dtype=float_type).reshape(len(ids), dim),
+                np.array(labels, dtype=int_type),
+                np.array(ids, dtype=int_type),
+            )
+        stages.append(StageTask(index, rows["train"], rows["test"], frozenset(range(4))))
+    return ClientTimeline(client_id=0, stages=stages)
+
+
+class TestTestUnion:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_rebuild_on_desk_partition(self, seed):
+        for timeline in desk_timelines(seed):
+            for upto in upto_values(len(timeline.stages)):
+                assert_same_set(timeline.test_union(upto), rebuild_test_union(timeline, upto))
+            assert timeline.classes == set().union(*(s.class_set for s in timeline.stages))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_timelines())
+    def test_matches_rebuild_on_hand_built_timelines(self, timeline):
+        for upto in upto_values(len(timeline.stages)):
+            assert_same_set(timeline.test_union(upto), rebuild_test_union(timeline, upto))
+
+    def test_timeline_and_stage_are_frozen(self):
+        timeline = desk_timelines(0)[0]
+        with pytest.raises(FrozenInstanceError):
+            timeline.stages = ()
+        with pytest.raises(FrozenInstanceError):
+            timeline.stages[0].test = timeline.stages[1].test
+
+    def test_union_is_shared_and_read_only(self):
+        timeline = next(
+            t for t in desk_timelines(0) if 0 < len(t.test_union(1)) < len(t.test_union())
+        )
+        assert timeline.test_union() is timeline.test_union()
+        for union in (timeline.test_union(), timeline.test_union(1)):
+            for array in (union.inputs, union.labels, union.ids):
+                with pytest.raises(ValueError):
+                    array[0] = 0
