@@ -27,15 +27,6 @@ from .model import LossWeights, OptimizerConfig
 _EXIT_IO = 5
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -66,8 +57,6 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object], str]] = {
     "batch_size": ("opt.batch_size", int, "mini-batch size"),
     "lambda": ("weights.relation_mix", _parse_float, "mix of the local relation loss, in [0, 1]"),
     "kl_temperature": ("weights.temperature", _parse_float, "softmax temperature of the local relation"),
-    "use_local_relation": ("weights.use_local_relation", _parse_bool, "enable the local relation term"),
-    "use_global_relation": ("weights.use_global_relation", _parse_bool, "enable the global relation term"),
     "beta": ("proto_momentum", _parse_float, "prototype moving-average retention, in [0, 1]"),
     "fedprox_mu": ("fedprox_coeff", _parse_float, "FedProx proximal coefficient"),
     "inference": ("inference_mode", str, "gp | lp"),
@@ -131,24 +120,23 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         key = _FIELD_KEYS.get(field_name)
         if key is None:
             raise ConfigError(f"{path}: {exc}") from exc
+        if key == "clients_per_round" and key not in key_lines and "num_clients" in key_lines:
+            # Only the num_clients the file set can put the default out of range.
+            key = "num_clients"
+            rest = (
+                f"must be at least clients_per_round ({values['clients_per_round']}), "
+                f"got {values[key]}"
+            )
         where = f"{path}:{key_lines[key]}" if key in key_lines else str(path)
         raise ConfigError(f"{where}: {key} {rest}") from exc
 
 
 def print_config(config: ExperimentConfig) -> str:
     """Canonical text form; ``parse_config`` of this text is a fixpoint."""
-    values = _config_to_values(config)
-    lines = []
-    for key in _CONFIG_KEYS:
-        value = values[key]
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+        for key, value in _config_to_values(config).items()
+    )
 
 
 def ablation_variants(base: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:

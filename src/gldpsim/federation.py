@@ -90,7 +90,6 @@ class ServerState:
 
 @dataclass
 class ClientState:
-    client_id: int
     params: ModelParams
     local_protos: dict[int, np.ndarray]
     timeline: ClientTimeline
@@ -275,9 +274,7 @@ def run_stage(
         start = ModelParams(server.shared, server.head if full_model else client.params.head)
         if full_model:
             coeff = config.fedprox_coeff if algorithm == "FedProx" else 0.0
-            client.params = joint_update(
-                start, stage, config.opt, rng, prox_anchor=start, prox_coeff=coeff
-            )
+            client.params = joint_update(start, stage, config.opt, rng, prox_coeff=coeff)
             up_payload = {"shared": client.params.shared, "head": client.params.head}
         else:
             client.params, fresh = local_update(
@@ -324,13 +321,7 @@ def initialize_experiment(
         [config.seed, _TAG_INIT],
     )
     clients = {
-        t.client_id: ClientState(
-            client_id=t.client_id,
-            params=init,
-            local_protos={},
-            timeline=t,
-        )
-        for t in timelines
+        t.client_id: ClientState(params=init, local_protos={}, timeline=t) for t in timelines
     }
     server = ServerState(
         shared=init.shared,

@@ -77,14 +77,11 @@ class LossWeights:
 
     ``relation_mix`` weighs the local (stage-memory) relation; its
     complement weighs the global alignment relation. A mix of 0 or 1
-    disables the corresponding term; the boolean switches remove a term
-    regardless of the mix (for ablations).
+    removes the global or the local term; removing both is ``CE_ONLY``.
     """
 
     relation_mix: float = 0.5
     temperature: float = 1.0
-    use_local_relation: bool = True
-    use_global_relation: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.relation_mix <= 1.0:
@@ -94,15 +91,22 @@ class LossWeights:
 
     @property
     def local_coeff(self) -> float:
-        return self.relation_mix if self.use_local_relation else 0.0
+        return self.relation_mix
 
     @property
     def global_coeff(self) -> float:
-        return (1.0 - self.relation_mix) if self.use_global_relation else 0.0
+        return 1.0 - self.relation_mix
+
+
+class _CrossEntropyOnly(LossWeights):
+    """Both relation terms removed, whatever the mix."""
+
+    local_coeff = 0.0
+    global_coeff = 0.0
 
 
 # Cross-entropy alone: the loss of the baseline updates.
-CE_ONLY = LossWeights(use_local_relation=False, use_global_relation=False)
+CE_ONLY = _CrossEntropyOnly()
 
 
 def init_params(input_dim: int, embedding_dim: int, num_classes: int, seed_key) -> ModelParams:
@@ -284,17 +288,17 @@ def _train(
     opt: OptimizerConfig,
     weights: LossWeights,
     rng: np.random.Generator,
-    prox_anchor: ModelParams | None = None,
     prox_coeff: float = 0.0,
 ) -> ModelParams:
     """Minibatch SGD on a copy of ``params`` over ``(layers, epochs)`` phases.
 
     Each step takes the full gradient and moves only the phase's layers
-    (``"shared"``/``"head"``), in order. With a proximal anchor, each stepped
-    layer is also pulled toward the anchor with strength ``prox_coeff``.
-    Only cross-entropy reaches the head, so a phase that does not step
-    ``"shared"`` takes its gradients under ``CE_ONLY``: the head gradients
-    are bit-identical and the relation terms are not computed.
+    (``"shared"``/``"head"``), in order. With ``prox_coeff > 0``, each
+    stepped layer is also pulled toward the received ``params`` (FedProx's
+    proximal term). Only cross-entropy reaches the head, so a phase that
+    does not step ``"shared"`` takes its gradients under ``CE_ONLY``: the
+    head gradients are bit-identical and the relation terms are not
+    computed.
 
     The only writer of arrays in the package, and only into the copy of
     ``params`` made on entry. Every other array is shared by reference, no
@@ -303,10 +307,9 @@ def _train(
     """
     if len(stage.train) == 0:
         raise DataError(f"stage {stage.stage_index} training set is empty")
-    params = params.copy()
+    received, params = params, params.copy()
     inputs, labels = stage.train.inputs, stage.train.labels
     n = len(labels)
-    prox = prox_anchor is not None and prox_coeff > 0.0
 
     for layers, epochs in phases:
         phase_weights = weights if "shared" in layers else CE_ONLY
@@ -319,8 +322,8 @@ def _train(
                 )
                 for name in layers:
                     layer, grad = getattr(params, name), getattr(grads, name)
-                    if prox:
-                        anchor = getattr(prox_anchor, name)
+                    if prox_coeff > 0.0:
+                        anchor = getattr(received, name)
                         grad.weight += prox_coeff * (layer.weight - anchor.weight)
                         grad.bias += prox_coeff * (layer.bias - anchor.bias)
                     _sgd_step(layer, grad, opt.step_size, opt.weight_decay)
@@ -353,13 +356,12 @@ def joint_update(
     stage: StageTask,
     opt: OptimizerConfig,
     rng: np.random.Generator,
-    prox_anchor: ModelParams | None = None,
     prox_coeff: float = 0.0,
 ) -> ModelParams:
     """Plain SGD on cross-entropy over all parameters (baseline updates).
 
-    With a proximal anchor, each step also pulls every parameter toward the
-    anchor with strength ``prox_coeff``.
+    With ``prox_coeff > 0``, each step also pulls every parameter toward
+    the received model ``params`` (FedProx).
     """
     phases = ((("shared", "head"), opt.shared_epochs + opt.head_epochs),)
-    return _train(params, stage, phases, {}, {}, opt, CE_ONLY, rng, prox_anchor, prox_coeff)
+    return _train(params, stage, phases, {}, {}, opt, CE_ONLY, rng, prox_coeff)

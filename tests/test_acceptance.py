@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference_grad, random_configuration
+from trend_runs import cached_run
 
 from gldpsim.cli import run
 from gldpsim.datagen import (
@@ -28,7 +29,6 @@ from gldpsim.federation import (
     ExperimentConfig,
     audit_message_log,
     initialize_experiment,
-    run_experiment,
     run_round,
 )
 from gldpsim.metrics import acc_sel_prototypes, forgetting
@@ -57,7 +57,7 @@ def desk_config(algorithm: str, num_stages: int, **overrides) -> ExperimentConfi
 
 
 def final_metric(config: ExperimentConfig, metric: str) -> float:
-    mlog = run_experiment(config)
+    mlog = cached_run(config)
     rows = sorted(mlog.select(metric, "ALL"), key=lambda r: (r.round_index, r.stage_index))
     return rows[-1].value
 
@@ -69,7 +69,7 @@ def final_stage_asel(config: ExperimentConfig, window: int = 10) -> float:
     staged runs are reported (last-10-round curves); it damps the small
     per-round evaluation noise of desk-scale test sets.
     """
-    mlog = run_experiment(config)
+    mlog = cached_run(config)
     rows = mlog.select("A_sel", "ALL")
     last_stage = max(r.stage_index for r in rows)
     per_round = {r.round_index: r.value for r in rows if r.stage_index == last_stage}
@@ -296,7 +296,7 @@ def test_criterion_10_asel_bookkeeping():
     drops = []
     for client in clients.values():
         stage = client.timeline.stages[0]
-        degenerate = ClientTimeline(client_id=client.client_id, stages=[stage] * 4)
+        degenerate = ClientTimeline(client_id=client.timeline.client_id, stages=[stage] * 4)
         store = client.local_protos
         if len(store) == 0 or len(stage.test) == 0:
             continue

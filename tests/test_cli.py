@@ -1,15 +1,20 @@
 import json
+import re
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gldpsim.cli import ablation_variants, main, parse_config, print_config, run
+from gldpsim.cli import _CONFIG_KEYS, ablation_variants, main, parse_config, print_config, run
 from gldpsim.datagen import DatasetSpec, PartitionPlan
 from gldpsim.errors import ConfigError
-from gldpsim.federation import ExperimentConfig
-from gldpsim.model import OptimizerConfig
+from gldpsim.federation import ALGORITHMS, INFERENCE_MODES, ExperimentConfig
+from gldpsim.model import LossWeights, OptimizerConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def fast_config() -> ExperimentConfig:
@@ -65,8 +70,6 @@ KEY_CASES = [
     ("batch_size", "16", "opt.batch_size", 16),
     ("lambda", "0.25", "weights.relation_mix", 0.25),
     ("kl_temperature", "2.0", "weights.temperature", 2.0),
-    ("use_local_relation", "false", "weights.use_local_relation", False),
-    ("use_global_relation", "no", "weights.use_global_relation", False),
     ("beta", "0.75", "proto_momentum", 0.75),
     ("fedprox_mu", "0.1", "fedprox_coeff", 0.1),
     ("inference", "gp", "inference_mode", "gp"),
@@ -113,6 +116,51 @@ def with_attribute(config: ExperimentConfig, path: str, value) -> ExperimentConf
     return replace(config, **{owner: replace(getattr(config, owner), **{attr: value})})
 
 
+def finite_floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def valid_configs(draw) -> ExperimentConfig:
+    """Any config that passes every range check, over the full value ranges."""
+    positive_ints = st.integers(1, 10**6)
+    positive = finite_floats(min_value=0.0, exclude_min=True)
+    non_negative = finite_floats(min_value=0.0)
+    unit = finite_floats(min_value=0.0, max_value=1.0)
+    num_clients = draw(positive_ints)
+    return ExperimentConfig(
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        rounds=draw(st.integers(0, 10**6)),
+        clients_per_round=draw(st.integers(1, num_clients)),
+        dataset=DatasetSpec(
+            num_classes=draw(st.integers(2, 10**6)),
+            input_dim=draw(st.integers(2, 10**6)),
+            samples_per_class=draw(positive_ints),
+            class_center_scale=draw(positive),
+            noise_sigma=draw(positive),
+        ),
+        plan=PartitionPlan(
+            num_clients=num_clients,
+            classes_per_client=draw(positive_ints),
+            num_stages=draw(positive_ints),
+            imbalance_factor=draw(finite_floats(min_value=1.0)),
+        ),
+        opt=OptimizerConfig(
+            step_size=draw(non_negative),
+            shared_epochs=draw(positive_ints),
+            head_epochs=draw(positive_ints),
+            weight_decay=draw(non_negative),
+            batch_size=draw(positive_ints),
+        ),
+        weights=LossWeights(relation_mix=draw(unit), temperature=draw(positive)),
+        embedding_dim=draw(positive_ints),
+        proto_momentum=draw(unit),
+        fedprox_coeff=draw(non_negative),
+        inference_mode=draw(st.sampled_from(INFERENCE_MODES)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
 class TestParseConfig:
     def test_key_cases_cover_every_printed_key(self):
         printed = [line.split(" = ")[0] for line in print_config(ExperimentConfig()).splitlines()]
@@ -155,9 +203,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="relation_mix|lambda"):
             parse_config(path)
 
-    def test_range_cases_cover_every_non_boolean_key(self):
-        non_boolean = [case[0] for case in KEY_CASES if not isinstance(case[3], bool)]
-        assert [case[0] for case in RANGE_CASES] == non_boolean
+    def test_range_cases_cover_every_key(self):
+        assert [case[0] for case in RANGE_CASES] == [case[0] for case in KEY_CASES]
 
     @pytest.mark.parametrize("key, text, rest", RANGE_CASES, ids=[c[0] for c in RANGE_CASES])
     def test_range_error_names_key_and_line(self, tmp_path, capsys, key, text, rest):
@@ -167,11 +214,35 @@ class TestParseConfig:
         assert code == 2
         assert capsys.readouterr().err == f"configuration error: {path}:3: {key} {rest}\n"
 
-    def test_unknown_key_names_line(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("rounds = 3\nshrink_factor = 2\n")
-        with pytest.raises(ConfigError, match=r"bad\.cfg:2: unknown key 'shrink_factor'"):
-            parse_config(path)
+    def test_unknown_key_names_line(self, tmp_path, capsys):
+        # lambda = 0 / 1 and FedRep remove the relation terms; no key switches them.
+        for key, text in (
+            ("shrink_factor", "2"), ("use_local_relation", "false"), ("use_global_relation", "no"),
+        ):
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"rounds = 3\n{key} = {text}\n")
+            with pytest.raises(ConfigError, match=rf"bad\.cfg:2: unknown key '{key}'"):
+                parse_config(path)
+            code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"configuration error: {path}:2: unknown key '{key}'\n"
+            )
+
+    def test_default_clients_per_round_over_num_clients_names_num_clients(self, tmp_path, capsys):
+        path = tmp_path / "x.cfg"
+        path.write_text("rounds = 2\nnum_clients = 5\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {path}:2: num_clients must be at least "
+            "clients_per_round (10), got 5\n"
+        )
+        # A clients_per_round the file set stays the key named.
+        path.write_text("clients_per_round = 8\nnum_clients = 5\n")
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {path}:1: clients_per_round must be in [1, 5], got 8\n"
+        )
 
     def test_malformed_value_names_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -206,6 +277,21 @@ class TestParseConfig:
         reparsed = parse_config(reparsed_path)
         assert reparsed == config
         assert print_config(reparsed) == canonical
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=valid_configs())
+    def test_print_parse_round_trips_valid_configs(self, tmp_path, config):
+        path = tmp_path / "printed.cfg"
+        text = print_config(config)
+        path.write_text(text)
+        assert parse_config(path) == config
+        assert print_config(parse_config(path)) == text
+
+    def test_readme_config_table_lists_every_key(self):
+        section = README.read_text().split("### Config files", 1)[1].split("\n## ", 1)[0]
+        first_cells = [line.split(" | ")[0] for line in section.splitlines() if line.startswith("| `")]
+        keys = [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(keys) == sorted(_CONFIG_KEYS)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.cfg"

@@ -21,6 +21,7 @@ from gldpsim.federation import (
 )
 from gldpsim.metrics import A_GLOBAL, A_LOCAL, A_SELECTED
 from gldpsim.model import (
+    CE_ONLY,
     LayerParams,
     LossWeights,
     OptimizerConfig,
@@ -28,6 +29,8 @@ from gldpsim.model import (
     init_params,
     joint_update,
 )
+
+from trend_runs import cached_run
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -281,13 +284,10 @@ class TestBaselineUpdate:
         opt = OptimizerConfig(
             step_size=0.05, shared_epochs=1, head_epochs=1, weight_decay=0.0, batch_size=10_000
         )
-        updated = joint_update(
-            broadcast, stage, opt, np.random.default_rng(4), prox_anchor=broadcast, prox_coeff=0.0
-        )
-        plain = LossWeights(use_local_relation=False, use_global_relation=False)
+        updated = joint_update(broadcast, stage, opt, np.random.default_rng(4), prox_coeff=0.0)
         expect = broadcast.copy()
         for _ in range(2):  # shared_epochs + head_epochs joint passes
-            grads = grad_total(expect, stage.train.inputs, stage.train.labels, {}, {}, plain)
+            grads = grad_total(expect, stage.train.inputs, stage.train.labels, {}, {}, CE_ONLY)
             expect.shared.weight -= 0.05 * grads.shared.weight
             expect.shared.bias -= 0.05 * grads.shared.bias
             expect.head.weight -= 0.05 * grads.head.weight
@@ -297,9 +297,8 @@ class TestBaselineUpdate:
 
     def test_fedrep_equals_gldp_with_both_relations_off(self):
         # FedRep trains from (broadcast shared, own head) exactly like GLDP.
-        off = LossWeights(use_local_relation=False, use_global_relation=False)
         fedrep = run_rounds(tiny_config(algorithm="FedRep"))
-        gldp = run_rounds(tiny_config(weights=off))
+        gldp = run_rounds(tiny_config(weights=CE_ONLY))
         assert fedrep[0].head is None and len(gldp[0].global_protos) > 0
         assert_same_models(fedrep, gldp)
 
@@ -334,11 +333,7 @@ class TestRunExperiment:
         lam0 = run_experiment(
             tiny_config(weights=LossWeights(relation_mix=0.0))
         )
-        bare = run_experiment(
-            tiny_config(
-                weights=LossWeights(use_local_relation=False, use_global_relation=False)
-            )
-        )
+        bare = run_experiment(tiny_config(weights=CE_ONLY))
         assert [(r.round_index, r.stage_index, r.metric, r.scope) for r in lam0.rows] == [
             (r.round_index, r.stage_index, r.metric, r.scope) for r in bare.rows
         ]
@@ -360,7 +355,7 @@ class TestStagedTrendDirection:
         # averaged softmax on the stage-union metric.
         def final_asel(algorithm, seed):
             config = ExperimentConfig(algorithm=algorithm, rounds=30).with_seed(seed)
-            mlog = run_experiment(config)
+            mlog = cached_run(config)
             rows = sorted(
                 mlog.select(A_SELECTED, "ALL"), key=lambda r: (r.round_index, r.stage_index)
             )

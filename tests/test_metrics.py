@@ -14,8 +14,8 @@ from gldpsim.metrics import (
     forgetting,
 )
 from gldpsim.model import (
+    CE_ONLY,
     LayerParams,
-    LossWeights,
     ModelParams,
     OptimizerConfig,
     init_params,
@@ -138,10 +138,9 @@ class TestAccSel:
         timeline = two_stage_timeline(rng)
         params = init_params(3, 16, 4, [3, 3])
         opt = OptimizerConfig(step_size=0.08, shared_epochs=2, head_epochs=4, weight_decay=0.0)
-        plain = LossWeights(use_local_relation=False, use_global_relation=False)
         for _ in range(6):
             params, _ = local_update(
-                params, timeline.stages[1], {}, {}, opt, plain, np.random.default_rng(5)
+                params, timeline.stages[1], {}, {}, opt, CE_ONLY, np.random.default_rng(5)
             )
         stage2_acc = acc_sel_softmax(params, ClientTimeline(0, [timeline.stages[1]]), 1)
         assert stage2_acc > 0.9  # it did learn the new stage

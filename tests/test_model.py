@@ -156,12 +156,14 @@ class TestLossTotal:
 
     def test_mix_one_drops_global_term(self):
         with_term = self.total(LossWeights(relation_mix=1.0))
-        manual = self.total(LossWeights(relation_mix=1.0, use_global_relation=False))
+        weights = LossWeights(relation_mix=1.0)
+        manual = loss_total(self.params, self.inputs, self.labels, self.old, {}, weights)
         assert with_term == manual
 
     def test_mix_zero_drops_local_term(self):
         with_term = self.total(LossWeights(relation_mix=0.0))
-        manual = self.total(LossWeights(relation_mix=0.0, use_local_relation=False))
+        weights = LossWeights(relation_mix=0.0)
+        manual = loss_total(self.params, self.inputs, self.labels, {}, self.glob, weights)
         assert with_term == manual
 
     def test_empty_prototype_stores_reduce_to_ce(self):
@@ -205,10 +207,7 @@ class TestGradTotal:
         rng = np.random.default_rng(8)
         params, inputs, labels, _, glob = random_configuration(rng)
         with_relations = grad_total(params, inputs, labels, {}, glob, LossWeights(relation_mix=1.0))
-        plain = grad_total(
-            params, inputs, labels, {}, {},
-            LossWeights(use_local_relation=False, use_global_relation=False),
-        )
+        plain = grad_total(params, inputs, labels, {}, {}, CE_ONLY)
         assert np.array_equal(with_relations.shared.weight, plain.shared.weight)
         assert np.array_equal(with_relations.head.weight, plain.head.weight)
 
@@ -402,10 +401,7 @@ class TestJointUpdate:
         params = init_params(3, 4, 2, [14, 14])
         opt = OptimizerConfig(step_size=0.03, shared_epochs=1, head_epochs=1)
         plain = joint_update(params, stage, opt, np.random.default_rng(1))
-        proxed = joint_update(
-            params, stage, opt, np.random.default_rng(1),
-            prox_anchor=params, prox_coeff=0.0,
-        )
+        proxed = joint_update(params, stage, opt, np.random.default_rng(1), prox_coeff=0.0)
         assert np.array_equal(plain.shared.weight, proxed.shared.weight)
         assert np.array_equal(plain.head.weight, proxed.head.weight)
 
@@ -415,10 +411,7 @@ class TestJointUpdate:
         params = init_params(3, 4, 2, [15, 15])
         opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=2, weight_decay=0.0)
         free = joint_update(params, stage, opt, np.random.default_rng(2))
-        tight = joint_update(
-            params, stage, opt, np.random.default_rng(2),
-            prox_anchor=params, prox_coeff=5.0,
-        )
+        tight = joint_update(params, stage, opt, np.random.default_rng(2), prox_coeff=5.0)
         drift_free = float(np.abs(free.shared.weight - params.shared.weight).sum())
         drift_tight = float(np.abs(tight.shared.weight - params.shared.weight).sum())
         assert drift_tight < drift_free
