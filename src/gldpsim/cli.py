@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import ConfigError, SimulationError
 from .datagen import DatasetSpec, PartitionPlan
-from .federation import ALGORITHMS, ExperimentConfig, run_experiment
+from .federation import ALGORITHMS, INFERENCE_MODES, ExperimentConfig, run_experiment
 from .metrics import MetricsLog
 from .model import LossWeights, OptimizerConfig
 
@@ -133,6 +133,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def print_config(config: ExperimentConfig) -> str:
     """Canonical text form; ``parse_config`` of this text is a fixpoint."""
+    if config.weights.local_coeff == config.weights.global_coeff == 0.0:
+        # CE_ONLY has no key: it would print, and hash, as the default mix.
+        raise ConfigError("cross-entropy-only weights have no key; write algorithm = FedRep")
     return "".join(
         f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
         for key, value in _config_to_values(config).items()
@@ -196,6 +199,12 @@ def run(
     """
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
+    hasher = hashlib.sha256()
+    for name, config in named_configs:
+        hasher.update(name.encode())
+        hasher.update(print_config(config).encode())
+    hasher.update(json.dumps(seeds).encode())
+
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -204,12 +213,6 @@ def run(
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
-
-    hasher = hashlib.sha256()
-    for name, config in named_configs:
-        hasher.update(name.encode())
-        hasher.update(print_config(config).encode())
-    hasher.update(json.dumps(seeds).encode())
     manifest = RunManifest(
         config_hash=hasher.hexdigest(), seeds=list(seeds), output_dir=str(out)
     )
@@ -262,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ablation", action="store_true",
         help="run the four loss-ablation variants of the config",
     )
-    parser.add_argument("--inference", choices=["gp", "lp"], help="prototype inference mode")
+    parser.add_argument("--inference", choices=INFERENCE_MODES, help="prototype inference mode")
     parser.add_argument("--out", default="runs", help="output directory (default: runs)")
     return parser
 

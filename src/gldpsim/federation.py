@@ -191,10 +191,6 @@ class ExperimentConfig:
         return replace(self, seed=seed)
 
 
-def aggregates_full_model(algorithm: str) -> bool:
-    return algorithm not in PERSONALIZED_ALGORITHMS
-
-
 def select_clients(num_clients: int, count: int, seed: int, round_index: int) -> list[int]:
     """Uniform sample without replacement, deterministic in (seed, round)."""
     if not 1 <= count <= num_clients:
@@ -247,7 +243,7 @@ def run_stage(
     """
     algorithm = config.algorithm
     round_index = server.round_index
-    full_model = aggregates_full_model(algorithm)
+    full_model = algorithm not in PERSONALIZED_ALGORITHMS
     # One broadcast serves every client of the stage (arrays are shared).
     down_payload: dict = {
         "shared": server.shared,
@@ -326,7 +322,7 @@ def initialize_experiment(
     server = ServerState(
         shared=init.shared,
         global_protos={},
-        head=init.head if aggregates_full_model(config.algorithm) else None,
+        head=None if config.algorithm in PERSONALIZED_ALGORITHMS else init.head,
     )
     return server, clients
 
@@ -391,10 +387,10 @@ def _log_round_metrics(
         models = [(clients[c].params.shared, _client_store(clients[c], server, config)) for c in order]
         a_loc = acc_local(models, test_sets)
     else:
-        if aggregates_full_model(algorithm):
-            global_models = [ModelParams(server.shared, server.head) for _ in order]
-        else:  # FedRep: global representation with each client's own head
+        if algorithm in PERSONALIZED_ALGORITHMS:  # FedRep: each client's own head
             global_models = [ModelParams(server.shared, clients[c].params.head) for c in order]
+        else:
+            global_models = [ModelParams(server.shared, server.head) for _ in order]
         a_glo = acc_global_softmax(global_models, test_sets)
         a_loc = acc_local_softmax([clients[c].params for c in order], test_sets)
 
@@ -402,10 +398,7 @@ def _log_round_metrics(
     mlog.add(round_index, stage_count, algorithm, A_LOCAL, "ALL", a_loc)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    message_log: list[RoundMessage] | None = None,
-) -> MetricsLog:
+def run_experiment(config: ExperimentConfig) -> MetricsLog:
     """Run the full protocol and return the metrics log.
 
     Fully deterministic in the config. With zero rounds, the identically
@@ -443,7 +436,7 @@ def run_experiment(
                     float(np.mean(stage_values)),
                 )
 
-        selected = run_round(server, clients, config, round_index, message_log, log_sel)
+        selected = run_round(server, clients, config, round_index, after_stage=log_sel)
         drops = []
         for cid in selected:
             if sel_history[cid]:
@@ -465,13 +458,10 @@ def audit_message_log(
     allowed upload schema depends on the algorithm: personalized
     algorithms never upload the head.
     """
-    if algorithm == "GLDP":
-        allowed = {"shared", "prototypes", "class_counts"}
-    elif algorithm == "FedRep":
-        allowed = {"shared"}
-    else:
-        allowed = {"shared", "head"}
     personalizes = algorithm in PERSONALIZED_ALGORITHMS
+    allowed = {"shared"} if personalizes else {"shared", "head"}
+    if algorithm == "GLDP":
+        allowed |= {"prototypes", "class_counts"}
 
     violations = []
     for i, msg in enumerate(messages):

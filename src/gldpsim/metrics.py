@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import ClientTimeline, LabeledSet
+from .errors import ProtocolError
 from .model import LayerParams, ModelParams, embed, forward
 from .prototypes import predict_batch
 
@@ -83,7 +84,7 @@ def accuracy_softmax(params: ModelParams, data: LabeledSet) -> float | None:
 def _mean(values: list[float | None]) -> float:
     present = [v for v in values if v is not None]
     if not present:
-        raise ValueError("no clients with evaluable test data")
+        raise ProtocolError("no client's test data can be evaluated: none has prototypes yet")
     return float(np.mean(present))
 
 

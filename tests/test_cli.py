@@ -12,7 +12,7 @@ from gldpsim.cli import _CONFIG_KEYS, ablation_variants, main, parse_config, pri
 from gldpsim.datagen import DatasetSpec, PartitionPlan
 from gldpsim.errors import ConfigError
 from gldpsim.federation import ALGORITHMS, INFERENCE_MODES, ExperimentConfig
-from gldpsim.model import LossWeights, OptimizerConfig
+from gldpsim.model import CE_ONLY, LossWeights, OptimizerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -321,6 +321,16 @@ class TestRun:
         blocker.write_text("")
         with pytest.raises(OSError):
             run([("fast", fast_config())], [0], blocker / "nested")
+
+    def test_ce_only_weights_are_config_error(self, tmp_path):
+        # No key removes both relation terms, so CE_ONLY would print, and
+        # hash, as the default mix.
+        config = replace(fast_config(), weights=CE_ONLY)
+        with pytest.raises(ConfigError, match="algorithm = FedRep"):
+            print_config(config)
+        with pytest.raises(ConfigError, match="algorithm = FedRep"):
+            run([("bare", config)], [0], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_ablation_variants_cover_table_rows(self):
         variants = dict(ablation_variants(fast_config()))

@@ -68,6 +68,12 @@ class TestMakeSyntheticDataset:
         predicted = (gaps**2).sum(axis=-1).argmin(axis=1)
         assert (predicted == held_out.labels).mean() > 0.95
 
+    def test_overflowing_center_scale_is_data_error(self):
+        # Centers of +-inf leave NaN distances: rejected at once, not redrawn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="class centers coincide or overflow"):
+                make_synthetic_dataset(small_spec(class_center_scale=1e308), 0)
+
     def test_invalid_fields_name_the_field(self):
         with pytest.raises(ConfigError, match="num_classes"):
             DatasetSpec(num_classes=1, input_dim=4, samples_per_class=5)

@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gldpsim.datagen import DatasetSpec, PartitionPlan
-from gldpsim.errors import ConfigError, ProtocolError
+from gldpsim.errors import ConfigError, ProtocolError, SimulationError
 from gldpsim.federation import (
+    ALGORITHMS,
+    INFERENCE_MODES,
     ExperimentConfig,
     RoundMessage,
     aggregate_shared,
@@ -303,7 +307,62 @@ class TestBaselineUpdate:
         assert_same_models(fedrep, gldp)
 
 
+@st.composite
+def tiny_configs(draw) -> ExperimentConfig:
+    """Valid tiny configs; some cannot be partitioned."""
+    def floats(low, high):
+        return st.floats(low, high, allow_nan=False)
+
+    num_clients = draw(st.integers(1, 5))
+    return ExperimentConfig(
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        rounds=draw(st.integers(0, 2)),
+        clients_per_round=draw(st.integers(1, num_clients)),
+        dataset=DatasetSpec(
+            num_classes=draw(st.integers(2, 6)),
+            input_dim=draw(st.integers(2, 5)),
+            samples_per_class=draw(st.integers(1, 20)),
+            class_center_scale=draw(floats(0.1, 4.0)),
+            noise_sigma=draw(floats(0.1, 3.0)),
+        ),
+        plan=PartitionPlan(
+            num_clients=num_clients,
+            classes_per_client=draw(st.integers(1, 4)),
+            num_stages=draw(st.integers(1, 4)),
+            imbalance_factor=draw(floats(1.0, 20.0)),
+        ),
+        opt=OptimizerConfig(
+            step_size=draw(floats(0.0, 1.0)),
+            shared_epochs=draw(st.integers(1, 2)),
+            head_epochs=draw(st.integers(1, 2)),
+            weight_decay=draw(floats(0.0, 0.1)),
+            batch_size=draw(st.integers(1, 8)),
+        ),
+        weights=LossWeights(
+            relation_mix=draw(floats(0.0, 1.0)), temperature=draw(floats(0.1, 4.0)),
+        ),
+        embedding_dim=draw(st.integers(1, 6)),
+        proto_momentum=draw(floats(0.0, 1.0)),
+        fedprox_coeff=draw(floats(0.0, 1.0)),
+        inference_mode=draw(st.sampled_from(INFERENCE_MODES)),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
 class TestRunExperiment:
+    @settings(max_examples=200, deadline=None)
+    @given(config=tiny_configs())
+    def test_tiny_config_runs_in_range_or_fails_in_category(self, config):
+        try:
+            mlog = run_experiment(config)
+        except SimulationError as exc:
+            event(f"raised {type(exc).__name__}")
+            return
+        event("ran")
+        values = [row.value for row in mlog.rows]
+        assert values
+        assert all(np.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+
     def test_zero_rounds_identical_across_algorithms(self):
         logs = {}
         for algorithm in ("GLDP", "FedAvg", "FedRep", "FedProx"):

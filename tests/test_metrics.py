@@ -90,6 +90,15 @@ class TestAccLocal:
         wrong_store = store_with({0: [0.0, 2.0], 1: [2.0, 0.0]})
         assert acc_local([(identity_shared(2), wrong_store)], [data]) == 0.0
 
+    def test_no_store_for_any_test_set_is_protocol_error(self):
+        # A GLDP client with test data that was never trained, and whose
+        # classes the global store lacks, has nothing to predict with.
+        data = labeled([[2.0, 0.0]], [0])
+        empty = labeled(np.empty((0, 2)), [])
+        models = [(identity_shared(2), {}), (identity_shared(2), store_with({1: [0.0, 2.0]}))]
+        with pytest.raises(ProtocolError, match="none has prototypes"):
+            acc_local(models, [data, empty])
+
 
 def two_stage_timeline(rng):
     """Stage 1 holds classes {0,1}; stage 2 relabels the same two cluster
