@@ -9,13 +9,15 @@ The shared layer carries from one stage into the next within a round.
 FedAvg, FedRep, and FedProx run on the same state machine with different
 local updates, payloads, and inference.
 
-One write rule keeps logged messages snapshots. Only ``model._train``
-writes into arrays, and only into the copy it makes on entry; all other
-arrays (parameters, prototypes, payloads, and the ``LayerParams``/
-``ModelParams`` holding them) are shared by reference. No function mutates
-a dict it was given: prototype stores are replaced by the new dict the
-folds return. State changes are field reassignments: the client and
-server states in :func:`run_stage`, the round index in :func:`run_round`.
+One write rule keeps logged messages snapshots and lets
+:func:`run_experiment` reuse a client's A_loc value while its inputs are
+the same objects. Only ``model._train`` writes into arrays, and only
+into the copy it makes on entry; all other arrays (parameters,
+prototypes, payloads, and the ``LayerParams``/``ModelParams`` holding
+them) are shared by reference. No function mutates a dict it was given:
+prototype stores are replaced by the new dict the folds return. State
+changes are field reassignments: the client and server states in
+:func:`run_stage`, the round index in :func:`run_round`.
 """
 
 from __future__ import annotations
@@ -376,6 +378,7 @@ def _log_round_metrics(
     clients: dict[int, ClientState],
     config: ExperimentConfig,
     round_index: int,
+    a_loc_memo: dict,
 ) -> None:
     algorithm = config.algorithm
     stage_count = config.plan.num_stages
@@ -385,14 +388,14 @@ def _log_round_metrics(
     if algorithm == "GLDP":
         a_glo = acc_global(server.shared, server.global_protos, test_sets)
         models = [(clients[c].params.shared, _client_store(clients[c], server, config)) for c in order]
-        a_loc = acc_local(models, test_sets)
+        a_loc = acc_local(models, test_sets, memo=a_loc_memo)
     else:
         if algorithm in PERSONALIZED_ALGORITHMS:  # FedRep: each client's own head
             global_models = [ModelParams(server.shared, clients[c].params.head) for c in order]
         else:
             global_models = [ModelParams(server.shared, server.head) for _ in order]
         a_glo = acc_global_softmax(global_models, test_sets)
-        a_loc = acc_local_softmax([clients[c].params for c in order], test_sets)
+        a_loc = acc_local_softmax([clients[c].params for c in order], test_sets, memo=a_loc_memo)
 
     mlog.add(round_index, stage_count, algorithm, A_GLOBAL, "ALL", a_glo)
     mlog.add(round_index, stage_count, algorithm, A_LOCAL, "ALL", a_loc)
@@ -418,6 +421,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
         mlog.add(0, stage_count, algorithm, A_LOCAL, "ALL", acc_local_softmax(params, test_sets))
         return mlog
 
+    a_loc_memo: dict = {}  # this run's A_loc values; only selected clients retrain
     for round_index in range(1, config.rounds + 1):
         sel_history: dict[int, list[float]] = defaultdict(list)
 
@@ -445,7 +449,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
                 drops.append(drop)
         if drops:
             mlog.add(round_index, stage_count, algorithm, FORGETTING, "ALL", float(np.mean(drops)))
-        _log_round_metrics(mlog, server, clients, config, round_index)
+        _log_round_metrics(mlog, server, clients, config, round_index, a_loc_memo)
     return mlog
 
 

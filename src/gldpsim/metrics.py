@@ -104,22 +104,49 @@ def acc_global_softmax(
     )
 
 
+def _reuse(memo: dict, key: int, classes: list[int], inputs: tuple, compute):
+    """The value held under ``key``, or ``compute()`` (then held) if an input changed.
+
+    Inputs are unchanged when ``classes`` equals the held list and every
+    object in ``inputs`` *is* the held one. That is sound because nothing
+    writes into a parameter, prototype vector or test set once made (the
+    write rule in :mod:`gldpsim.federation`); holding the inputs keeps their
+    ids from being reused.
+    """
+    held = memo.get(key)
+    if held is None or held[0] != classes or any(a is not b for a, b in zip(held[1], inputs)):
+        held = memo[key] = (classes, inputs, compute())
+    return held[2]
+
+
 def acc_local(
-    models: Sequence[tuple[LayerParams, dict[int, np.ndarray]]], test_sets: Sequence[LabeledSet]
+    models: Sequence[tuple[LayerParams, dict[int, np.ndarray]]], test_sets: Sequence[LabeledSet],
+    *, memo: dict | None = None,
 ) -> float:
     """Mean accuracy of each personalized model on its own test data.
 
     Clients whose resolved store is still empty (never trained, nothing
-    global to fall back on) are skipped.
+    global to fall back on) are skipped. ``memo`` carries each position's
+    value to the next call, until its shared layer, test set or store
+    vectors are replaced.
     """
+    memo = {} if memo is None else memo
     values = []
-    for (shared, store), ts in zip(models, test_sets):
-        values.append(accuracy_prototypes(shared, store, ts) if len(store) else None)
+    for i, ((shared, store), ts) in enumerate(zip(models, test_sets)):
+        classes = sorted(store)
+        values.append(_reuse(memo, i, classes, (shared, ts, *(store[c] for c in classes)),
+                             lambda: accuracy_prototypes(shared, store, ts) if store else None))
     return _mean(values)
 
 
-# A_glo passes the global model for every client, A_loc each client's own.
-acc_local_softmax = acc_global_softmax
+def acc_local_softmax(
+    params_per_client: Sequence[ModelParams], test_sets: Sequence[LabeledSet],
+    *, memo: dict | None = None,
+) -> float:
+    """Mean softmax accuracy of each client's own model; ``memo`` as in :func:`acc_local`."""
+    memo = {} if memo is None else memo
+    return _mean([_reuse(memo, i, [], (p, ts), lambda: accuracy_softmax(p, ts))
+                  for i, (p, ts) in enumerate(zip(params_per_client, test_sets))])
 
 
 def acc_sel_prototypes(

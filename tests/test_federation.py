@@ -23,7 +23,7 @@ from gldpsim.federation import (
     run_stage,
     select_clients,
 )
-from gldpsim.metrics import A_GLOBAL, A_LOCAL, A_SELECTED
+from gldpsim.metrics import A_GLOBAL, A_LOCAL, A_SELECTED, acc_local, acc_local_softmax
 from gldpsim.model import (
     CE_ONLY,
     LayerParams,
@@ -33,6 +33,7 @@ from gldpsim.model import (
     init_params,
     joint_update,
 )
+from gldpsim.prototypes import inference_store
 
 from trend_runs import cached_run
 
@@ -172,27 +173,41 @@ class TestRunStage:
         want_w = (single[0].weight + single[1].weight) / 2
         assert np.allclose(server.shared.weight, want_w, atol=1e-15)
 
-    def test_scheduling_order_does_not_matter(self):
-        config = tiny_config()
-        server_a, clients_a = initialize_experiment(config)
-        server_a.round_index = 1
-        run_stage(server_a, clients_a, [0, 1, 2], 1, config)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        algorithm=st.sampled_from(ALGORITHMS),
+        order=st.permutations(range(4)),
+        count=st.integers(1, 4),
+    )
+    def test_scheduling_order_does_not_matter(self, algorithm, order, count):
+        selected = list(order[:count])
 
-        server_b, clients_b = initialize_experiment(config)
-        server_b.round_index = 1
-        run_stage(server_b, clients_b, [2, 0, 1], 1, config)
+        def run(in_order):
+            config = tiny_config(algorithm=algorithm)
+            server, clients = initialize_experiment(config)
+            server.round_index = 1
+            messages = []
+            for stage_index in (1, 2):
+                run_stage(server, clients, in_order, stage_index, config, messages)
+            uploads = sorted(
+                (m.to_json_dict() for m in messages if m.direction == "client_to_server"),
+                key=lambda m: (m["stage"], m["sender"]),
+            )
+            return server, clients, uploads
 
-        assert np.array_equal(server_a.shared.weight, server_b.shared.weight)
-        for cid in (0, 1, 2):
-            assert np.array_equal(
-                clients_a[cid].params.shared.weight, clients_b[cid].params.shared.weight
-            )
-            assert np.array_equal(
-                clients_a[cid].params.head.weight, clients_b[cid].params.head.weight
-            )
-        assert sorted(server_a.global_protos) == sorted(server_b.global_protos)
-        for c in sorted(server_a.global_protos):
-            assert np.array_equal(server_a.global_protos[c], server_b.global_protos[c])
+        server_a, clients_a, uploads_a = run(sorted(selected))
+        server_b, clients_b, uploads_b = run(selected)
+        assert_same_models((server_a, clients_a), (server_b, clients_b))
+        if server_a.head is not None:
+            assert np.array_equal(server_a.head.weight, server_b.head.weight)
+            assert np.array_equal(server_a.head.bias, server_b.head.bias)
+        stores = [(server_a.global_protos, server_b.global_protos)] + [
+            (clients_a[c].local_protos, clients_b[c].local_protos) for c in clients_a
+        ]
+        for store_a, store_b in stores:
+            assert sorted(store_a) == sorted(store_b)
+            assert all(np.array_equal(store_a[c], store_b[c]) for c in store_a)
+        assert uploads_a == uploads_b
 
     def test_stage_classes_gain_local_prototypes(self):
         config = tiny_config()
@@ -349,6 +364,16 @@ def tiny_configs(draw) -> ExperimentConfig:
     )
 
 
+def partial_participation(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` with one more client than any round selects and 2-4 rounds."""
+    return replace(
+        config,
+        rounds=config.rounds + 2,
+        clients_per_round=min(config.clients_per_round, config.plan.num_clients),
+        plan=replace(config.plan, num_clients=config.plan.num_clients + 1),
+    )
+
+
 class TestRunExperiment:
     @settings(max_examples=200, deadline=None)
     @given(config=tiny_configs())
@@ -362,6 +387,41 @@ class TestRunExperiment:
         values = [row.value for row in mlog.rows]
         assert values
         assert all(np.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+
+    @pytest.mark.parametrize(
+        "algorithm, mode",
+        [("GLDP", "lp"), ("GLDP", "gp"), ("FedAvg", "lp"), ("FedRep", "lp"), ("FedProx", "lp")],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_memoized_a_loc_equals_recomputed(self, algorithm, mode, data):
+        # run_experiment reuses an unselected client's A_loc term; rebuild
+        # every term each round without the memo and compare exact floats.
+        drawn = data.draw(tiny_configs())
+        config = partial_participation(replace(drawn, algorithm=algorithm, inference_mode=mode))
+        try:
+            logged = [r.value for r in run_experiment(config).select(A_LOCAL, "ALL")]
+        except SimulationError as exc:
+            event(f"raised {type(exc).__name__}")
+            return
+        event("ran")
+        server, clients = initialize_experiment(config)
+        order = sorted(clients)
+        test_sets = [clients[c].timeline.test_union() for c in order]
+        recomputed = []
+        for round_index in range(1, config.rounds + 1):
+            run_round(server, clients, config, round_index)
+            if config.algorithm == "GLDP":
+                models = [
+                    (clients[c].params.shared,
+                     inference_store(clients[c].local_protos, server.global_protos,
+                                     config.inference_mode, scope=clients[c].timeline.classes))
+                    for c in order
+                ]
+                recomputed.append(acc_local(models, test_sets))
+            else:
+                recomputed.append(acc_local_softmax([clients[c].params for c in order], test_sets))
+        assert logged == recomputed
 
     def test_zero_rounds_identical_across_algorithms(self):
         logs = {}

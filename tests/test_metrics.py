@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from gldpsim import metrics
 from gldpsim.datagen import ClientTimeline, LabeledSet, StageTask
 from gldpsim.errors import ProtocolError
 from gldpsim.metrics import (
     MetricsLog,
     acc_global,
     acc_local,
+    acc_local_softmax,
     acc_sel_prototypes,
     acc_sel_softmax,
     accuracy_prototypes,
@@ -98,6 +100,104 @@ class TestAccLocal:
         models = [(identity_shared(2), {}), (identity_shared(2), store_with({1: [0.0, 2.0]}))]
         with pytest.raises(ProtocolError, match="none has prototypes"):
             acc_local(models, [data, empty])
+
+
+class TestALocMemo:
+    """The memo reuses a client's value only while each input is the held object."""
+
+    @staticmethod
+    def scored(computed, *expected):
+        """Whether exactly the ``expected`` test set objects were scored, in order."""
+        return len(computed) == len(expected) and all(a is b for a, b in zip(computed, expected))
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Test sets that each call of the wrapped accuracies scored, in order."""
+        seen = []
+        for name in ("accuracy_prototypes", "accuracy_softmax"):
+            original = getattr(metrics, name)
+
+            def counting(*args, _original=original):
+                seen.append(args[-1])
+                return _original(*args)
+
+            monkeypatch.setattr(metrics, name, counting)
+        return seen
+
+    def prototype_clients(self):
+        data = [labeled([[2.0, 0.0], [0.0, 2.0]], [0, 1], start_id=10 * i) for i in range(3)]
+        models = [
+            (identity_shared(2), store_with({0: [2.0, 0.0], 1: [0.0, 2.0]})) for _ in range(3)
+        ]
+        return models, data
+
+    def softmax_clients(self):
+        rng = np.random.default_rng(9)
+        data = [
+            labeled(rng.standard_normal((5, 2)), rng.integers(0, 3, 5), 10 * i) for i in range(3)
+        ]
+        heads = [LayerParams(rng.standard_normal((2, 3)), np.zeros(3)) for _ in range(3)]
+        params = [ModelParams(identity_shared(2), head) for head in heads]
+        return params, data
+
+    def test_identical_inputs_recompute_nothing(self, computed):
+        models, data = self.prototype_clients()
+        params, softmax_data = self.softmax_clients()
+        memo, softmax_memo = {}, {}
+        first = (acc_local(models, data, memo=memo),
+                 acc_local_softmax(params, softmax_data, memo=softmax_memo))
+        assert len(computed) == 6
+        again = (acc_local(models, data, memo=memo),
+                 acc_local_softmax(params, softmax_data, memo=softmax_memo))
+        assert again == first
+        assert len(computed) == 6
+
+    def test_replaced_params_recompute_only_that_client(self, computed):
+        params, data = self.softmax_clients()
+        memo = {}
+        acc_local_softmax(params, data, memo=memo)
+        computed.clear()
+        head = params[1].head
+        params[1] = ModelParams(params[1].shared, LayerParams(-head.weight, head.bias))
+        value = acc_local_softmax(params, data, memo=memo)
+        assert self.scored(computed, data[1])
+        assert value == acc_local_softmax(params, data)
+
+    def test_replaced_store_vector_recomputes_only_that_client(self, computed):
+        models, data = self.prototype_clients()
+        memo = {}
+        acc_local(models, data, memo=memo)
+        computed.clear()
+        shared, store = models[2]
+        models[2] = (shared, {**store, 1: np.array([2.0, 0.0])})  # class 1 now lies on class 0
+        value = acc_local(models, data, memo=memo)
+        assert self.scored(computed, data[2])
+        assert value == acc_local(models, data) == pytest.approx(5 / 6)
+
+    def test_changed_class_set_recomputes(self, computed):
+        models, data = self.prototype_clients()
+        memo = {}
+        acc_local(models, data, memo=memo)
+        computed.clear()
+        shared, store = models[0]
+        models[0] = (shared, {0: store[0]})  # same vector object, one class fewer
+        acc_local(models, data, memo=memo)
+        assert self.scored(computed, data[0])
+
+    def test_equal_but_new_objects_recompute(self, computed):
+        models, data = self.prototype_clients()
+        params, softmax_data = self.softmax_clients()
+        memo, softmax_memo = {}, {}
+        first = (acc_local(models, data, memo=memo),
+                 acc_local_softmax(params, softmax_data, memo=softmax_memo))
+        computed.clear()
+        models[0] = (models[0][0].copy(), models[0][1])
+        data[1] = LabeledSet(data[1].inputs.copy(), data[1].labels.copy(), data[1].ids.copy())
+        params[2] = ModelParams(params[2].shared.copy(), params[2].head.copy())
+        again = (acc_local(models, data, memo=memo),
+                 acc_local_softmax(params, softmax_data, memo=softmax_memo))
+        assert again == first
+        assert self.scored(computed, data[0], data[1], softmax_data[2])
 
 
 def two_stage_timeline(rng):
