@@ -238,8 +238,6 @@ def longtail_class_counts(samples_per_class: int, imbalance_factor: float, num_c
     Class k keeps round(n_max * IF^(-k / (z-1))) samples (round half up),
     never fewer than one. Class 0 always keeps all its samples.
     """
-    if imbalance_factor < 1:
-        raise ConfigError(f"imbalance_factor must be >= 1, got {imbalance_factor}")
     counts = []
     for k in range(num_classes):
         raw = samples_per_class * imbalance_factor ** (-k / (num_classes - 1))
@@ -293,9 +291,10 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     """Carve a dataset into per-client multi-stage timelines.
 
     Every client draws ``classes_per_client`` distinct classes (redrawn
-    until each class has at least one assignee); each class's samples are
-    split disjointly among its assignees; each client's share is then
-    spread over its stages, with an 80/20 train/test split per stage.
+    until each class has at least one assignee; ``ExperimentConfig`` checks
+    that the plan can cover the classes); each class's samples are split
+    disjointly among its assignees; each client's share is then spread
+    over its stages, with an 80/20 train/test split per stage.
     A stage left without training samples is tolerated here, and the
     training protocol skips it; one warning per partition names every such
     (client, stage) pair. A partition in which no client holds any test
@@ -303,14 +302,6 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     """
     num_classes = int(data.labels.max()) + 1
     n, s, m = plan.num_clients, plan.classes_per_client, plan.num_stages
-    _require(
-        s <= num_classes,
-        f"classes_per_client ({s}) exceeds number of classes ({num_classes})",
-    )
-    _require(
-        n * s >= num_classes,
-        f"{n} clients x {s} classes cannot cover all {num_classes} classes",
-    )
 
     rng = np.random.default_rng([seed, _TAG_PARTITION])
     for _ in range(1000):

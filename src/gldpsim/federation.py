@@ -62,6 +62,7 @@ from .model import (
     init_params,
     joint_update,
     local_update,
+    stage_prototypes,
 )
 from .prototypes import (
     compute_counts,
@@ -168,12 +169,23 @@ class ExperimentConfig:
             raise ConfigError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
             )
-        if self.rounds < 0:
-            raise ConfigError(f"rounds must be non-negative, got {self.rounds}")
+        if self.rounds < 1:
+            raise ConfigError(f"rounds must be positive, got {self.rounds}")
         if not 1 <= self.clients_per_round <= self.plan.num_clients:
             raise ConfigError(
                 f"clients_per_round must be in [1, {self.plan.num_clients}], "
                 f"got {self.clients_per_round}"
+            )
+        # The partition limits: the one check that sees dataset and plan together.
+        classes, per_client = self.dataset.num_classes, self.plan.classes_per_client
+        if per_client > classes:
+            raise ConfigError(
+                f"classes_per_client must be at most num_classes ({classes}), got {per_client}"
+            )
+        if self.plan.num_clients * per_client < classes:
+            raise ConfigError(
+                f"num_clients x classes_per_client ({self.plan.num_clients} x {per_client}) "
+                f"must cover num_classes ({classes})"
             )
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be positive, got {self.embedding_dim}")
@@ -195,8 +207,6 @@ class ExperimentConfig:
 
 def select_clients(num_clients: int, count: int, seed: int, round_index: int) -> list[int]:
     """Uniform sample without replacement, deterministic in (seed, round)."""
-    if not 1 <= count <= num_clients:
-        raise ConfigError(f"cannot select {count} clients from {num_clients}")
     rng = np.random.default_rng([seed, _TAG_SELECT, round_index])
     chosen = rng.choice(num_clients, size=count, replace=False)
     return sorted(int(c) for c in chosen)
@@ -237,8 +247,9 @@ def run_stage(
 ) -> list[int]:
     """Run one stage task for the selected clients and aggregate.
 
-    Clients whose stage training set is empty are skipped without a
-    message; :func:`~gldpsim.datagen.partition_clients` already warned.
+    Every selected client is sent the broadcast; a client whose stage
+    training set is empty sends no upload (one warning from
+    :func:`~gldpsim.datagen.partition_clients` names it).
     The result is independent of the order of ``selected``: client rng
     streams are keyed by (seed, round, stage, client) and the reduction
     iterates clients in ascending id order. Returns the participants.
@@ -275,12 +286,13 @@ def run_stage(
             client.params = joint_update(start, stage, config.opt, rng, prox_coeff=coeff)
             up_payload = {"shared": client.params.shared, "head": client.params.head}
         else:
-            client.params, fresh = local_update(
+            client.params = local_update(
                 start, stage, client.local_protos, server.global_protos,
                 config.opt, config.weights if algorithm == "GLDP" else CE_ONLY, rng,
             )
             up_payload = {"shared": client.params.shared}
         if algorithm == "GLDP":
+            fresh = stage_prototypes(client.params.shared, stage)
             up_payload["prototypes"] = fresh
             up_payload["class_counts"] = compute_counts(stage.train.labels)
             client.local_protos = update_local(client.local_protos, fresh, config.proto_momentum)
@@ -404,23 +416,12 @@ def _log_round_metrics(
 def run_experiment(config: ExperimentConfig) -> MetricsLog:
     """Run the full protocol and return the metrics log.
 
-    Fully deterministic in the config. With zero rounds, the identically
-    initialized model is evaluated with softmax inference (no prototype
-    store exists yet), which is algorithm-independent.
+    Fully deterministic in the config.
     """
     server, clients = initialize_experiment(config)
     mlog = MetricsLog()
     algorithm = config.algorithm
     stage_count = config.plan.num_stages
-    order = sorted(clients)
-
-    if config.rounds == 0:
-        test_sets = [clients[c].timeline.test_union() for c in order]
-        params = [clients[c].params for c in order]
-        mlog.add(0, stage_count, algorithm, A_GLOBAL, "ALL", acc_global_softmax(params, test_sets))
-        mlog.add(0, stage_count, algorithm, A_LOCAL, "ALL", acc_local_softmax(params, test_sets))
-        return mlog
-
     a_loc_memo: dict = {}  # this run's A_loc values; only selected clients retrain
     for round_index in range(1, config.rounds + 1):
         sel_history: dict[int, list[float]] = defaultdict(list)

@@ -338,17 +338,18 @@ def local_update(
     opt: OptimizerConfig,
     weights: LossWeights,
     rng: np.random.Generator,
-) -> tuple[ModelParams, dict[int, np.ndarray]]:
+) -> ModelParams:
     """Train on one stage task: shared-layer epochs, then head epochs.
 
-    During the shared phase the head is frozen and vice versa. Returns the
-    updated parameters and per-class prototypes of the full stage training
-    set under the final shared layer.
+    During the shared phase the head is frozen and vice versa.
     """
     phases = ((("shared",), opt.shared_epochs), (("head",), opt.head_epochs))
-    params = _train(params, stage, phases, old_protos, global_protos, opt, weights, rng)
-    stage_protos = compute_prototypes(embed(params.shared, stage.train.inputs), stage.train.labels)
-    return params, stage_protos
+    return _train(params, stage, phases, old_protos, global_protos, opt, weights, rng)
+
+
+def stage_prototypes(shared: LayerParams, stage: StageTask) -> dict[int, np.ndarray]:
+    """Per-class prototypes of the stage training set under ``shared``."""
+    return compute_prototypes(embed(shared, stage.train.inputs), stage.train.labels)
 
 
 def joint_update(

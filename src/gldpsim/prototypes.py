@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ProtocolError
 
 
 def _blend(old: np.ndarray, fresh: np.ndarray, momentum: float) -> np.ndarray:
@@ -57,8 +57,6 @@ def update_local(
     verbatim; classes absent from ``fresh`` are carried over. Returns a new
     store and leaves ``store`` unchanged.
     """
-    if not 0.0 <= momentum <= 1.0:
-        raise ConfigError(f"momentum must be in [0, 1], got {momentum}")
     folded = dict(store)
     for c in sorted(fresh):
         old = store.get(c)
@@ -112,14 +110,12 @@ def inference_store(
 ) -> dict[int, np.ndarray]:
     """Resolve the store used at test time.
 
-    ``gp`` uses the global store exclusively. ``lp`` uses the client's own
-    prototypes, falling back to the global prototype for any class in
-    ``scope`` (the client's known label space) that the client has not
-    formed yet.
+    ``gp`` uses the global store exclusively. Any other mode is ``lp``: the
+    client's own prototypes, falling back to the global prototype for any
+    class in ``scope`` (the client's known label space) that the client has
+    not formed yet.
     """
     if mode == "gp":
         return global_store
-    if mode == "lp":
-        fallback = {c: global_store[c] for c in scope if c in global_store}
-        return {**fallback, **local}
-    raise ConfigError(f"inference mode must be 'gp' or 'lp', got {mode!r}")
+    fallback = {c: global_store[c] for c in scope if c in global_store}
+    return {**fallback, **local}

@@ -83,7 +83,7 @@ FLOAT_KEYS = [case[0] for case in KEY_CASES if isinstance(case[3], float)]
 # of the message after the key).
 RANGE_CASES = [
     ("algorithm", "SGD", "must be one of ('GLDP', 'FedAvg', 'FedRep', 'FedProx'), got 'SGD'"),
-    ("rounds", "-1", "must be non-negative, got -1"),
+    ("rounds", "0", "must be positive, got 0"),
     ("clients_per_round", "0", "must be in [1, 20], got 0"),
     ("num_clients", "0", "must be >= 1, got 0"),
     ("classes_per_client", "0", "must be >= 1, got 0"),
@@ -127,13 +127,16 @@ def valid_configs(draw) -> ExperimentConfig:
     positive = finite_floats(min_value=0.0, exclude_min=True)
     non_negative = finite_floats(min_value=0.0)
     unit = finite_floats(min_value=0.0, max_value=1.0)
-    num_clients = draw(positive_ints)
+    num_classes = draw(st.integers(2, 10**6))
+    # the partition limits: at most every class, and enough to cover them
+    classes_per_client = draw(st.integers(1, num_classes))
+    num_clients = draw(st.integers(-(-num_classes // classes_per_client), 10**6))
     return ExperimentConfig(
         algorithm=draw(st.sampled_from(ALGORITHMS)),
-        rounds=draw(st.integers(0, 10**6)),
+        rounds=draw(positive_ints),
         clients_per_round=draw(st.integers(1, num_clients)),
         dataset=DatasetSpec(
-            num_classes=draw(st.integers(2, 10**6)),
+            num_classes=num_classes,
             input_dim=draw(st.integers(2, 10**6)),
             samples_per_class=draw(positive_ints),
             class_center_scale=draw(positive),
@@ -141,7 +144,7 @@ def valid_configs(draw) -> ExperimentConfig:
         ),
         plan=PartitionPlan(
             num_clients=num_clients,
-            classes_per_client=draw(positive_ints),
+            classes_per_client=classes_per_client,
             num_stages=draw(positive_ints),
             imbalance_factor=draw(finite_floats(min_value=1.0)),
         ),
@@ -243,6 +246,27 @@ class TestParseConfig:
         assert capsys.readouterr().err == (
             f"configuration error: {path}:1: clients_per_round must be in [1, 5], got 8\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("classes_per_client = 11\n", ":1",
+             "classes_per_client must be at most num_classes (10), got 11"),
+            ("num_clients = 2\nclients_per_round = 2\nclasses_per_client = 4\n", ":1",
+             "num_clients x classes_per_client (2 x 4) must cover num_classes (10)"),
+            # The file set only num_classes, so no line holds the key named.
+            ("num_classes = 3\n", "",
+             "classes_per_client must be at most num_classes (3), got 4"),
+        ],
+        ids=["classes_per_client", "coverage", "defaulted_key"],
+    )
+    def test_partition_limits_fail_at_parse_time(self, tmp_path, capsys, text, where, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {path}{where}: {message}\n"
+        assert not out.exists()
 
     def test_malformed_value_names_line(self, tmp_path):
         path = tmp_path / "bad.cfg"

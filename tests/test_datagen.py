@@ -19,6 +19,7 @@ from gldpsim.datagen import (
     partition_clients,
 )
 from gldpsim.errors import ConfigError, DataError
+from gldpsim.federation import ExperimentConfig
 from gldpsim.prototypes import compute_counts
 from oracles import rebuild_test_union
 
@@ -105,11 +106,6 @@ class TestApplyLongtail:
             counts = compute_counts(apply_longtail(data, factor, seed=0).labels)
             values = [counts[k] for k in range(10)]
             assert values == sorted(values, reverse=True)
-
-    def test_requires_factor_at_least_one(self):
-        data = make_synthetic_dataset(small_spec(), 7)
-        with pytest.raises(ConfigError):
-            apply_longtail(data, 0.5, seed=0)
 
     def test_requires_balanced_input(self):
         data = make_synthetic_dataset(small_spec(), 7)
@@ -250,11 +246,13 @@ class TestPartitionClients:
                     assert set(part.labels.tolist()) <= set(s.class_set)
 
     def test_too_many_classes_per_client_rejected(self):
-        with pytest.raises(ConfigError):
-            partition_clients(
-                four_class_data(),
-                PartitionPlan(num_clients=2, classes_per_client=5, num_stages=1),
-                0,
+        # The config checks the partition limits; partition_clients trusts them.
+        message = r"^classes_per_client must be at most num_classes \(4\), got 5$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(
+                clients_per_round=2,
+                dataset=DatasetSpec(num_classes=4, input_dim=4, samples_per_class=10),
+                plan=PartitionPlan(num_clients=2, classes_per_client=5, num_stages=1),
             )
 
     def test_no_test_sample_anywhere_rejected(self):
@@ -267,7 +265,7 @@ class TestPartitionClients:
             partition_clients(data, plan, 0)
 
     def test_impossible_coverage_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="failed to cover"):
             partition_clients(
                 four_class_data(),
                 PartitionPlan(num_clients=1, classes_per_client=2, num_stages=1),

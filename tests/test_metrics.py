@@ -248,7 +248,7 @@ class TestAccSel:
         params = init_params(3, 16, 4, [3, 3])
         opt = OptimizerConfig(step_size=0.08, shared_epochs=2, head_epochs=4, weight_decay=0.0)
         for _ in range(6):
-            params, _ = local_update(
+            params = local_update(
                 params, timeline.stages[1], {}, {}, opt, CE_ONLY, np.random.default_rng(5)
             )
         stage2_acc = acc_sel_softmax(params, ClientTimeline(0, [timeline.stages[1]]), 1)

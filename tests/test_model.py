@@ -23,6 +23,7 @@ from gldpsim.model import (
     loss_global_relation,
     loss_local_relation,
     loss_total,
+    stage_prototypes,
 )
 
 
@@ -264,11 +265,12 @@ class TestLocalUpdate:
         stage = one_stage(rng)
         params = init_params(3, 4, 2, [3, 3])
         opt = OptimizerConfig(step_size=0.0, shared_epochs=1, head_epochs=1, weight_decay=0.0)
-        updated, protos = local_update(
+        updated = local_update(
             params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(5)
         )
         assert np.array_equal(updated.shared.weight, params.shared.weight)
         assert np.array_equal(updated.head.weight, params.head.weight)
+        protos = stage_prototypes(updated.shared, stage)
         want = {
             int(c): embed(params.shared, stage.train.inputs[stage.train.labels == c]).mean(axis=0)
             for c in np.unique(stage.train.labels)
@@ -287,7 +289,7 @@ class TestLocalUpdate:
             step_size=alpha, shared_epochs=1, head_epochs=1, weight_decay=wd, batch_size=100
         )
         weights = LossWeights()
-        updated, _ = local_update(
+        updated = local_update(
             params, stage, {}, {}, opt, weights, np.random.default_rng(11)
         )
 
@@ -314,7 +316,7 @@ class TestLocalUpdate:
         shared_only = OptimizerConfig(
             step_size=0.05, shared_epochs=3, head_epochs=1, weight_decay=0.0
         )
-        updated, _ = local_update(
+        updated = local_update(
             params, stage, {}, {}, shared_only,
             LossWeights(), np.random.default_rng(7),
         )
@@ -324,7 +326,7 @@ class TestLocalUpdate:
         assert not np.array_equal(updated.head.weight, params.head.weight)
 
         zero = OptimizerConfig(step_size=0.0, shared_epochs=2, head_epochs=2, weight_decay=0.0)
-        frozen, _ = local_update(
+        frozen = local_update(
             params, stage, {}, {}, zero, LossWeights(), np.random.default_rng(7)
         )
         assert np.array_equal(frozen.head.weight, params.head.weight)
@@ -345,7 +347,7 @@ class TestLocalUpdate:
         params = init_params(3, 8, 2, [9, 9])
         opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=4, weight_decay=1e-4)
         for _ in range(5):  # 5 x (2 + 4) = 30 passes total
-            params, _ = local_update(
+            params = local_update(
                 params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(10)
             )
         _, logits = forward(params, inputs)
@@ -369,14 +371,14 @@ class TestLocalUpdate:
         stage = one_stage(rng)
         params = init_params(3, 4, 2, [13, 13])
         opt = OptimizerConfig(step_size=0.03, shared_epochs=2, head_epochs=3)
-        a, _ = local_update(params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(99))
-        b, _ = local_update(params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(99))
+        a = local_update(params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(99))
+        b = local_update(params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(99))
         assert np.array_equal(a.shared.weight, b.shared.weight)
         assert np.array_equal(a.head.weight, b.head.weight)
 
     def test_head_phase_under_ce_only_matches_full_loss(self, monkeypatch):
         # Head epochs skip the relation terms; with them put back, every
-        # parameter and prototype comes out bit-identical.
+        # parameter comes out bit-identical.
         rng = np.random.default_rng(14)
         stage = one_stage(rng)
         params = init_params(3, 4, 2, [14, 14])
@@ -387,11 +389,8 @@ class TestLocalUpdate:
         fast = local_update(params, stage, old, glob, opt, weights, np.random.default_rng(7))
         monkeypatch.setattr(model, "CE_ONLY", weights)
         full = local_update(params, stage, old, glob, opt, weights, np.random.default_rng(7))
-        for got, want in zip(param_arrays(fast[0]), param_arrays(full[0])):
+        for got, want in zip(param_arrays(fast), param_arrays(full)):
             assert got.tobytes() == want.tobytes()
-        assert fast[1].keys() == full[1].keys()
-        for c in fast[1]:
-            assert fast[1][c].tobytes() == full[1][c].tobytes()
 
 
 class TestJointUpdate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gldpsim.errors import ConfigError, ProtocolError
+from gldpsim.errors import ProtocolError
 from gldpsim.prototypes import (
     compute,
     inference_store,
@@ -208,13 +208,3 @@ class TestInferenceStore:
         local = store_with({0: [0.0, 0.0]})
         glob = store_with({1: [2.0, 2.0], 2: [3.0, 3.0]})
         assert sorted(inference_store(local, glob, "lp", scope={0, 1})) == [0, 1]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            inference_store({}, {}, "both", scope=set())
-
-
-class TestStoreValidationAndCsv:
-    def test_momentum_range(self):
-        with pytest.raises(ConfigError):
-            update_local({}, {}, 1.5)
