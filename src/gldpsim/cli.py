@@ -34,48 +34,47 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-# key -> (ExperimentConfig attribute path, parser, description); order fixed
-# for canonical printing
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object], str]] = {
-    "algorithm": ("algorithm", str, "GLDP | FedAvg | FedRep | FedProx"),
-    "rounds": ("rounds", int, "global training rounds"),
-    "clients_per_round": ("clients_per_round", int, "clients selected per round"),
-    "num_clients": ("plan.num_clients", int, "total clients"),
-    "classes_per_client": ("plan.classes_per_client", int, "classes assigned to each client"),
-    "num_stages": ("plan.num_stages", int, "stage tasks per client"),
-    "imbalance_factor": ("plan.imbalance_factor", _parse_float, "long-tail imbalance factor"),
-    "num_classes": ("dataset.num_classes", int, "classes in the dataset"),
-    "input_dim": ("dataset.input_dim", int, "input feature dimension"),
-    "samples_per_class": ("dataset.samples_per_class", int, "samples per class before long-tailing"),
-    "center_scale": ("dataset.class_center_scale", _parse_float, "class center spread"),
-    "noise_sigma": ("dataset.noise_sigma", _parse_float, "within-class noise"),
-    "hidden_dim": ("embedding_dim", int, "embedding dimension"),
-    "step_size": ("opt.step_size", _parse_float, "SGD step size"),
-    "shared_epochs": ("opt.shared_epochs", int, "epochs on the shared layer"),
-    "head_epochs": ("opt.head_epochs", int, "epochs on the head"),
-    "weight_decay": ("opt.weight_decay", _parse_float, "SGD weight decay"),
-    "batch_size": ("opt.batch_size", int, "mini-batch size"),
-    "lambda": ("weights.relation_mix", _parse_float, "mix of the local relation loss, in [0, 1]"),
-    "kl_temperature": ("weights.temperature", _parse_float, "softmax temperature of the local relation"),
-    "beta": ("proto_momentum", _parse_float, "prototype moving-average retention, in [0, 1]"),
-    "fedprox_mu": ("fedprox_coeff", _parse_float, "FedProx proximal coefficient"),
-    "inference": ("inference_mode", str, "gp | lp"),
-    "seed": ("seed", int, "experiment seed"),
+# key -> (ExperimentConfig attribute path, parser); order fixed for canonical printing
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "algorithm": ("algorithm", str),
+    "rounds": ("rounds", int),
+    "clients_per_round": ("clients_per_round", int),
+    "num_clients": ("plan.num_clients", int),
+    "classes_per_client": ("plan.classes_per_client", int),
+    "num_stages": ("plan.num_stages", int),
+    "imbalance_factor": ("plan.imbalance_factor", _parse_float),
+    "num_classes": ("dataset.num_classes", int),
+    "input_dim": ("dataset.input_dim", int),
+    "samples_per_class": ("dataset.samples_per_class", int),
+    "center_scale": ("dataset.class_center_scale", _parse_float),
+    "noise_sigma": ("dataset.noise_sigma", _parse_float),
+    "hidden_dim": ("embedding_dim", int),
+    "step_size": ("opt.step_size", _parse_float),
+    "shared_epochs": ("opt.shared_epochs", int),
+    "head_epochs": ("opt.head_epochs", int),
+    "weight_decay": ("opt.weight_decay", _parse_float),
+    "batch_size": ("opt.batch_size", int),
+    "lambda": ("weights.relation_mix", _parse_float),
+    "kl_temperature": ("weights.temperature", _parse_float),
+    "beta": ("proto_momentum", _parse_float),
+    "fedprox_mu": ("fedprox_coeff", _parse_float),
+    "inference": ("inference_mode", str),
+    "seed": ("seed", int),
 }
 
 
 # dataclass field -> config key, to report range errors under the key written
-_FIELD_KEYS = {path.rpartition(".")[2]: key for key, (path, _, _) in _CONFIG_KEYS.items()}
+_FIELD_KEYS = {path.rpartition(".")[2]: key for key, (path, _) in _CONFIG_KEYS.items()}
 
 
 def _config_to_values(config: ExperimentConfig) -> dict[str, object]:
-    return {key: attrgetter(path)(config) for key, (path, _, _) in _CONFIG_KEYS.items()}
+    return {key: attrgetter(path)(config) for key, (path, _) in _CONFIG_KEYS.items()}
 
 
 def _values_to_config(values: dict[str, object]) -> ExperimentConfig:
     """Build a config from key values."""
     fields: dict[str, dict[str, object]] = defaultdict(dict)
-    for key, (path, _, _) in _CONFIG_KEYS.items():
+    for key, (path, _) in _CONFIG_KEYS.items():
         owner, _, attr = path.rpartition(".")
         fields[owner][attr] = values[key]
     return ExperimentConfig(
@@ -106,7 +105,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        _, parser, _ = _CONFIG_KEYS[key]
+        _, parser = _CONFIG_KEYS[key]
         try:
             values[key] = parser(raw_value)
         except ValueError as exc:
@@ -199,6 +198,8 @@ def run(
     """
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
+    # Seeded configs are checked before the output directory exists.
+    seeded = [(name, [config.with_seed(seed) for seed in seeds]) for name, config in named_configs]
     hasher = hashlib.sha256()
     for name, config in named_configs:
         hasher.update(name.encode())
@@ -218,11 +219,11 @@ def run(
     )
 
     combined = MetricsLog()
-    for name, config in named_configs:
+    for name, configs in seeded:
         logs = []
-        for seed in seeds:
+        for seed, config in zip(seeds, configs):
             started = time.perf_counter()
-            mlog = run_experiment(config.with_seed(seed))
+            mlog = run_experiment(config)
             elapsed = time.perf_counter() - started
             csv_path = out / f"{name}_seed{seed}.csv"
             mlog.to_csv(csv_path)

@@ -62,35 +62,22 @@ class DatasetSpec:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """Feature matrix with integer class labels and stable sample ids."""
+    """Feature matrix with integer class labels."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    ids: np.ndarray
 
     def __post_init__(self) -> None:
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise DataError(
                 f"inputs rows ({self.inputs.shape[0]}) != labels length ({self.labels.shape[0]})"
             )
-        if self.ids.shape[0] != self.labels.shape[0]:
-            raise DataError(
-                f"ids length ({self.ids.shape[0]}) != labels length ({self.labels.shape[0]})"
-            )
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
     def subset(self, index: np.ndarray) -> "LabeledSet":
-        return LabeledSet(self.inputs[index], self.labels[index], self.ids[index])
-
-
-def empty_labeled_set(input_dim: int) -> LabeledSet:
-    return LabeledSet(
-        np.empty((0, input_dim), dtype=np.float64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
+        return LabeledSet(self.inputs[index], self.labels[index])
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,7 @@ class StageTask:
 
 
 def _read_only(data: LabeledSet) -> LabeledSet:
-    for array in (data.inputs, data.labels, data.ids):
+    for array in (data.inputs, data.labels):
         array.flags.writeable = False
     return data
 
@@ -150,7 +137,7 @@ class ClientTimeline:
     """
 
     client_id: int
-    stages: tuple[StageTask, ...] = ()
+    stages: tuple[StageTask, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -162,34 +149,20 @@ class ClientTimeline:
 
     @cached_property
     def _test_union_sizes(self) -> tuple[LabeledSet, tuple[int, ...]]:
-        """The test union of all stages, and the size of the union of stages
-        1..k for k = 0..M.
+        """The test sets of all stages concatenated in stage order, and the
+        size of the union of stages 1..k for k = 0..M.
 
-        The first occurrence of an id among stages 1..k is its first
-        occurrence among all M stages, so the union of stages 1..k is the
-        rows of the whole de-duplicated union that come from stages 1..k:
-        a prefix, since the rows keep the order of the stages.
+        ``partition_clients`` gives a client's stages disjoint samples, so
+        the concatenation is the union, and the union of stages 1..k is
+        its first rows.
         """
-        parts = [s.test for s in self.stages if len(s.test) > 0]
-        if not parts:
-            return self._empty_test_set(), (0,) * (len(self.stages) + 1)
-        ids = np.concatenate([p.ids for p in parts])
-        _, first = np.unique(ids, return_index=True)
-        keep = np.sort(first)
-        union = _read_only(LabeledSet(
-            np.concatenate([p.inputs for p in parts])[keep],
-            np.concatenate([p.labels for p in parts])[keep],
-            ids[keep],
-        ))
-        bounds = np.cumsum([0, *(len(s.test) for s in self.stages)])
-        return union, tuple(np.searchsorted(keep, bounds).tolist())
-
-    def _empty_test_set(self) -> LabeledSet:
-        dim = self.stages[0].train.inputs.shape[1] if self.stages else 0
-        return _read_only(empty_labeled_set(dim))
+        tests = [s.test for s in self.stages]
+        union = _read_only(LabeledSet(np.concatenate([t.inputs for t in tests]),
+                                      np.concatenate([t.labels for t in tests])))
+        return union, tuple(np.cumsum([0, *map(len, tests)]).tolist())
 
     def test_union(self, upto_stage: int | None = None) -> LabeledSet:
-        """Union of test sets for stages 1..upto_stage, de-duplicated by id.
+        """Union of test sets for stages 1..upto_stage.
 
         ``upto_stage`` slices the stages as ``stages[:upto_stage]`` does.
         """
@@ -197,11 +170,9 @@ class ClientTimeline:
         size = sizes[len(self.stages[:upto_stage])]
         if size == len(union):
             return union
-        if size == 0:
-            return self._empty_test_set()
         # Made per call: holding one per stage of every client raised the
         # population workload's peak RSS by ~2%.
-        return LabeledSet(union.inputs[:size], union.labels[:size], union.ids[:size])
+        return LabeledSet(union.inputs[:size], union.labels[:size])
 
 
 def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
@@ -228,8 +199,7 @@ def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
         blocks.append(centers[c] + noise)
     inputs = np.concatenate(blocks)
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
-    ids = np.arange(inputs.shape[0], dtype=np.int64)
-    return LabeledSet(inputs, labels, ids)
+    return LabeledSet(inputs, labels)
 
 
 def longtail_class_counts(samples_per_class: int, imbalance_factor: float, num_classes: int) -> list[int]:
@@ -248,8 +218,7 @@ def longtail_class_counts(samples_per_class: int, imbalance_factor: float, num_c
 def apply_longtail(data: LabeledSet, imbalance_factor: float, seed: int) -> LabeledSet:
     """Uniformly subsample each class down to its long-tail count.
 
-    Requires balanced input (equal per-class counts). Sample ids are
-    preserved so downstream disjointness checks stay meaningful.
+    Requires balanced input (equal per-class counts).
     """
     per_class = compute_counts(data.labels)
     num_classes = len(per_class)

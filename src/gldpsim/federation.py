@@ -126,8 +126,6 @@ def _jsonify(value):
         return value.tolist()
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in sorted(value.items())}
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
     return value
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gldpsim.datagen import LabeledSet, empty_labeled_set
+from gldpsim.datagen import LabeledSet
 from gldpsim.model import init_params, loss_total
 
 
@@ -52,15 +52,11 @@ def random_configuration(rng, with_protos=True):
 
 def rebuild_test_union(timeline, upto_stage=None):
     """Test union of stages[:upto_stage], rebuilt from the stage test sets:
-    concatenate, then keep each id's first occurrence in order."""
+    their concatenation in stage order."""
     stages = timeline.stages if upto_stage is None else timeline.stages[:upto_stage]
-    parts = [s.test for s in stages if len(s.test) > 0]
-    if not parts:
-        dim = timeline.stages[0].train.inputs.shape[1] if timeline.stages else 0
-        return empty_labeled_set(dim)
-    inputs = np.concatenate([p.inputs for p in parts])
-    labels = np.concatenate([p.labels for p in parts])
-    ids = np.concatenate([p.ids for p in parts])
-    _, first = np.unique(ids, return_index=True)
-    keep = np.sort(first)
-    return LabeledSet(inputs[keep], labels[keep], ids[keep])
+    if not stages:
+        first = timeline.stages[0].test
+        return LabeledSet(np.empty((0, first.inputs.shape[1]), first.inputs.dtype),
+                          np.empty(0, first.labels.dtype))
+    return LabeledSet(np.concatenate([s.test.inputs for s in stages]),
+                      np.concatenate([s.test.labels for s in stages]))

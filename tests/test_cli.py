@@ -433,10 +433,12 @@ class TestMainEntry:
 
     def test_repeated_seed_is_config_error(self, tmp_path, capsys):
         path = write_fast_config(tmp_path)
-        code = main(["--config", str(path), "--seeds", "0,1,0", "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "seeds must be distinct" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for seeds, message in (("0,1,0", "seeds must be distinct"),
+                               ("-1", "seed must be a non-negative integer, got -1")):
+            code = main(["--config", str(path), f"--seeds={seeds}", "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_seeds_default_is_config_seed(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

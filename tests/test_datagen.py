@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gldpsim.cli import parse_config
@@ -47,7 +47,6 @@ class TestMakeSyntheticDataset:
         b = make_synthetic_dataset(spec, 7)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.ids, b.ids)
 
     def test_different_seed_differs(self):
         a = make_synthetic_dataset(small_spec(), 1)
@@ -82,6 +81,14 @@ class TestMakeSyntheticDataset:
             DatasetSpec(num_classes=3, input_dim=4, samples_per_class=5, noise_sigma=0.0)
 
 
+def row_indexed(data):
+    """``data`` with input column 0 set to the row index, so each sample
+    carries its identity through any subset."""
+    inputs = data.inputs.copy()
+    inputs[:, 0] = np.arange(len(data))
+    return LabeledSet(inputs, data.labels)
+
+
 class TestApplyLongtail:
     def test_identity_when_factor_is_one(self):
         data = make_synthetic_dataset(small_spec(), 7)
@@ -113,15 +120,49 @@ class TestApplyLongtail:
         with pytest.raises(DataError):
             apply_longtail(unbalanced, 10.0, seed=0)
 
-    def test_ids_preserved(self):
-        data = make_synthetic_dataset(small_spec(), 7)
+    def test_keeps_rows_of_input(self):
+        data = row_indexed(make_synthetic_dataset(small_spec(), 7))
         thinned = apply_longtail(data, 50.0, seed=0)
-        assert set(thinned.ids) <= set(data.ids)
+        rows = thinned.inputs[:, 0].astype(np.int64)
+        assert len(np.unique(rows)) == len(thinned)
+        assert np.array_equal(thinned.inputs, data.inputs[rows])
+        assert np.array_equal(thinned.labels, data.labels[rows])
 
 
 def four_class_data(seed=3):
     spec = DatasetSpec(num_classes=4, input_dim=4, samples_per_class=20)
     return make_synthetic_dataset(spec, seed)
+
+
+def assert_rows_partitioned(timelines, data):
+    """Every row of a ``row_indexed`` dataset lands, unchanged, in exactly
+    one (client, stage, split): the multiset of rows is the dataset's."""
+    parts = [part for t in timelines for s in t.stages for part in (s.train, s.test)]
+    inputs = np.concatenate([p.inputs for p in parts])
+    labels = np.concatenate([p.labels for p in parts])
+    order = np.argsort(inputs[:, 0], kind="stable")
+    assert np.array_equal(inputs[order], data.inputs)
+    assert np.array_equal(labels[order], data.labels)
+
+
+@st.composite
+def tiny_plans(draw):
+    """A dataset and plan small enough to partition in milliseconds, in one
+    of the three regimes of ``_stage_class_sets``."""
+    regime = draw(st.sampled_from(["dealt", "window", "singletons"]))
+    if regime == "dealt":  # at least as many classes as stages
+        per_client = draw(st.integers(1, 5))
+        stages = draw(st.integers(1, per_client))
+    else:
+        per_client = draw(st.integers(3, 4) if regime == "window" else st.integers(1, 2))
+        stages = draw(st.integers(per_client + 1, 5))
+    num_classes = draw(st.integers(max(2, per_client), 5))
+    clients = draw(st.integers(-(-num_classes // per_client), 5))
+    # At least one sample per holder, so no client is left without samples.
+    per_class = draw(st.integers(clients * stages, 3 * clients * stages))
+    spec = DatasetSpec(num_classes=num_classes, input_dim=2, samples_per_class=per_class)
+    plan = PartitionPlan(num_clients=clients, classes_per_client=per_client, num_stages=stages)
+    return spec, plan, draw(st.integers(0, 2**16))
 
 
 class TestPartitionClients:
@@ -148,19 +189,17 @@ class TestPartitionClients:
         assert len(timelines) == 20
         assert all(len(t.stages) == 5 for t in timelines)
 
-    def test_disjoint_union_covers_dataset(self):
-        # Multiset-equality oracle over sample ids: every id lands in
-        # exactly one client/stage/split.
-        data = four_class_data()
-        timelines = partition_clients(
-            data, PartitionPlan(num_clients=2, classes_per_client=2, num_stages=1), 5
-        )
-        collected = []
-        for t in timelines:
-            for s in t.stages:
-                collected.extend(s.train.ids.tolist())
-                collected.extend(s.test.ids.tolist())
-        assert sorted(collected) == sorted(data.ids.tolist())
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_plans())
+    def test_disjoint_union_covers_dataset(self, spec_plan_seed):
+        spec, plan, seed = spec_plan_seed
+        data = row_indexed(make_synthetic_dataset(spec, seed))
+        try:
+            timelines = partition_clients(data, plan, seed)
+        except DataError as exc:  # every stage part of 1-2 samples went to training
+            assume("no client holds any test sample" not in str(exc))
+            raise
+        assert_rows_partitioned(timelines, data)
 
     def test_train_test_split_is_80_20_per_class(self):
         data = four_class_data()
@@ -177,19 +216,14 @@ class TestPartitionClients:
 
     def test_disjointness_multi_stage(self):
         data = make_synthetic_dataset(small_spec(), 11)
-        thinned = apply_longtail(data, 50.0, seed=11)
+        thinned = row_indexed(apply_longtail(data, 50.0, seed=11))
         timelines = partition_clients(
             thinned,
             PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5,
                           imbalance_factor=50.0),
             11,
         )
-        seen = set()
-        for t in timelines:
-            for s in t.stages:
-                for sample_id in np.concatenate([s.train.ids, s.test.ids]).tolist():
-                    assert sample_id not in seen
-                    seen.add(sample_id)
+        assert_rows_partitioned(timelines, thinned)
 
     def test_temporal_heterogeneity_exists(self):
         data = make_synthetic_dataset(small_spec(), 2)
@@ -227,8 +261,8 @@ class TestPartitionClients:
         b = partition_clients(data, plan, 9)
         for ta, tb in zip(a, b):
             for sa, sb in zip(ta.stages, tb.stages):
-                assert np.array_equal(sa.train.ids, sb.train.ids)
-                assert np.array_equal(sa.test.ids, sb.test.ids)
+                assert np.array_equal(sa.train.inputs, sb.train.inputs)
+                assert np.array_equal(sa.test.inputs, sb.test.inputs)
                 assert sa.class_set == sb.class_set
 
     def test_labels_subset_of_class_set(self):
@@ -276,31 +310,16 @@ class TestPartitionClients:
 class TestInvariantGuards:
     def test_labeled_set_shape_mismatch(self):
         with pytest.raises(DataError):
-            LabeledSet(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), np.arange(3))
+            LabeledSet(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
 
     def test_stage_task_labels_outside_class_set(self):
-        bad = LabeledSet(np.zeros((2, 2)), np.array([0, 5]), np.arange(2))
+        bad = LabeledSet(np.zeros((2, 2)), np.array([0, 5]))
         with pytest.raises(DataError):
             StageTask(stage_index=1, train=bad, test=bad.subset(np.arange(0)), class_set=frozenset({0}))
 
-    def test_test_union_deduplicates_by_id(self):
-        inputs = np.arange(8, dtype=np.float64).reshape(4, 2)
-        labels = np.array([0, 0, 1, 1])
-        ids = np.array([0, 1, 2, 3])
-        stage = StageTask(
-            stage_index=1,
-            train=LabeledSet(inputs[:2], labels[:2], ids[:2]),
-            test=LabeledSet(inputs[2:], labels[2:], ids[2:]),
-            class_set=frozenset({0, 1}),
-        )
-        timeline = ClientTimeline(client_id=0, stages=[stage, stage, stage])
-        union = timeline.test_union()
-        assert len(union) == 2
-        assert sorted(union.ids.tolist()) == [2, 3]
-
 
 def assert_same_set(got, want):
-    for name in ("inputs", "labels", "ids"):
+    for name in ("inputs", "labels"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -319,24 +338,21 @@ def upto_values(num_stages):
 
 @st.composite
 def hand_built_timelines(draw):
-    """Timelines of 0-5 stages whose test sets may be empty and repeat ids
-    across and within stages; a repeated id may carry different rows. The
-    dtypes vary between timelines, not within one."""
+    """Timelines of 1-5 stages whose test sets may be empty. The dtypes vary
+    between timelines, not within one."""
     dim = draw(st.integers(1, 3))
     float_type = draw(st.sampled_from([np.float64, np.float32]))
     int_type = draw(st.sampled_from([np.int64, np.int32]))
     stages = []
-    for index in range(1, draw(st.integers(0, 5)) + 1):
+    for index in range(1, draw(st.integers(1, 5)) + 1):
         rows = {}
         for part in ("train", "test"):
-            ids = draw(st.lists(st.integers(0, 6), max_size=5))
-            labels = draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
-            values = draw(st.lists(st.floats(-5, 5), min_size=len(ids) * dim,
-                                   max_size=len(ids) * dim))
+            size = draw(st.integers(0, 5))
+            labels = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+            values = draw(st.lists(st.floats(-5, 5), min_size=size * dim, max_size=size * dim))
             rows[part] = LabeledSet(
-                np.array(values, dtype=float_type).reshape(len(ids), dim),
+                np.array(values, dtype=float_type).reshape(size, dim),
                 np.array(labels, dtype=int_type),
-                np.array(ids, dtype=int_type),
             )
         stages.append(StageTask(index, rows["train"], rows["test"], frozenset(range(4))))
     return ClientTimeline(client_id=0, stages=stages)
@@ -369,6 +385,6 @@ class TestTestUnion:
         )
         assert timeline.test_union() is timeline.test_union()
         for union in (timeline.test_union(), timeline.test_union(1)):
-            for array in (union.inputs, union.labels, union.ids):
+            for array in (union.inputs, union.labels):
                 with pytest.raises(ValueError):
                     array[0] = 0

@@ -614,7 +614,7 @@ class TestConfigValidation:
         def partition(seed):
             _, clients = initialize_experiment(tiny_config().with_seed(seed))
             return [
-                (s.train.ids.tolist(), s.train.inputs.tolist(), s.test.ids.tolist())
+                (s.train.inputs.tolist(), s.test.inputs.tolist())
                 for c in sorted(clients) for s in clients[c].timeline.stages
             ]
 

@@ -29,23 +29,20 @@ def identity_shared(dim: int) -> LayerParams:
     return LayerParams(np.eye(dim), np.zeros(dim))
 
 
-def labeled(inputs, labels, start_id=0):
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    ids = np.arange(start_id, start_id + len(labels), dtype=np.int64)
-    return LabeledSet(inputs, labels, ids)
+def labeled(inputs, labels):
+    return LabeledSet(np.asarray(inputs, dtype=np.float64), np.asarray(labels, dtype=np.int64))
 
 
 def store_with(vectors: dict[int, list[float]]) -> dict[int, np.ndarray]:
     return {c: np.array(v, dtype=np.float64) for c, v in vectors.items()}
 
 
-def separated_clouds(rng, centers, per_class, start_id=0):
+def separated_clouds(rng, centers, per_class):
     inputs, labels = [], []
     for c, center in enumerate(centers):
         inputs.append(rng.standard_normal((per_class, len(center))) * 0.3 + np.asarray(center))
         labels.extend([c] * per_class)
-    return labeled(np.concatenate(inputs), labels, start_id)
+    return labeled(np.concatenate(inputs), labels)
 
 
 class TestAccGlobal:
@@ -55,7 +52,7 @@ class TestAccGlobal:
         # positive orthant so the relu embedding is the identity.
         rng = np.random.default_rng(0)
         centers = [[8.0, 1.0], [1.0, 8.0], [8.0, 8.0]]
-        test_sets = [separated_clouds(rng, centers, 30, start_id=i * 100) for i in range(3)]
+        test_sets = [separated_clouds(rng, centers, 30) for i in range(3)]
         store = store_with({c: centers[c] for c in range(3)})
         value = acc_global(identity_shared(2), store, test_sets)
         assert value > 0.98
@@ -125,7 +122,7 @@ class TestALocMemo:
         return seen
 
     def prototype_clients(self):
-        data = [labeled([[2.0, 0.0], [0.0, 2.0]], [0, 1], start_id=10 * i) for i in range(3)]
+        data = [labeled([[2.0, 0.0], [0.0, 2.0]], [0, 1]) for i in range(3)]
         models = [
             (identity_shared(2), store_with({0: [2.0, 0.0], 1: [0.0, 2.0]})) for _ in range(3)
         ]
@@ -134,7 +131,7 @@ class TestALocMemo:
     def softmax_clients(self):
         rng = np.random.default_rng(9)
         data = [
-            labeled(rng.standard_normal((5, 2)), rng.integers(0, 3, 5), 10 * i) for i in range(3)
+            labeled(rng.standard_normal((5, 2)), rng.integers(0, 3, 5)) for i in range(3)
         ]
         heads = [LayerParams(rng.standard_normal((2, 3)), np.zeros(3)) for _ in range(3)]
         params = [ModelParams(identity_shared(2), head) for head in heads]
@@ -192,7 +189,7 @@ class TestALocMemo:
                  acc_local_softmax(params, softmax_data, memo=softmax_memo))
         computed.clear()
         models[0] = (models[0][0].copy(), models[0][1])
-        data[1] = LabeledSet(data[1].inputs.copy(), data[1].labels.copy(), data[1].ids.copy())
+        data[1] = LabeledSet(data[1].inputs.copy(), data[1].labels.copy())
         params[2] = ModelParams(params[2].shared.copy(), params[2].head.copy())
         again = (acc_local(models, data, memo=memo),
                  acc_local_softmax(params, softmax_data, memo=softmax_memo))
@@ -205,12 +202,12 @@ def two_stage_timeline(rng):
     locations as classes {2,3} (an intra-domain concept shift), so a model
     retrained only on stage 2 cannot keep stage 1 right."""
     centers = [[8.0, 1.0, 1.0], [1.0, 8.0, 1.0]]
-    s1_train = separated_clouds(rng, centers, 25, start_id=0)
-    s1_test = separated_clouds(rng, centers, 10, start_id=100)
-    s2 = separated_clouds(rng, centers, 25, start_id=200)
-    s2_train = LabeledSet(s2.inputs, s2.labels + 2, s2.ids)
-    s2t = separated_clouds(rng, centers, 10, start_id=300)
-    s2_test = LabeledSet(s2t.inputs, s2t.labels + 2, s2t.ids)
+    s1_train = separated_clouds(rng, centers, 25)
+    s1_test = separated_clouds(rng, centers, 10)
+    s2 = separated_clouds(rng, centers, 25)
+    s2_train = LabeledSet(s2.inputs, s2.labels + 2)
+    s2t = separated_clouds(rng, centers, 10)
+    s2_test = LabeledSet(s2t.inputs, s2t.labels + 2)
     return ClientTimeline(
         client_id=0,
         stages=[

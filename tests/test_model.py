@@ -252,7 +252,7 @@ def one_stage(rng, num_classes=2, samples=20, input_dim=3):
         0, num_classes, samples
     )[:, None]
     labels = ((inputs[:, 0] > inputs[:, 0].mean()).astype(np.int64))
-    data = LabeledSet(inputs, labels, np.arange(samples, dtype=np.int64))
+    data = LabeledSet(inputs, labels)
     return StageTask(
         stage_index=1, train=data, test=data.subset(np.arange(0)),
         class_set=frozenset(range(num_classes)),
@@ -340,8 +340,8 @@ class TestLocalUpdate:
         labels = np.concatenate([np.zeros(30, dtype=np.int64), np.ones(30, dtype=np.int64)])
         stage = StageTask(
             stage_index=1,
-            train=LabeledSet(inputs, labels, np.arange(60, dtype=np.int64)),
-            test=LabeledSet(inputs[:0], labels[:0], np.arange(0, dtype=np.int64)),
+            train=LabeledSet(inputs, labels),
+            test=LabeledSet(inputs[:0], labels[:0]),
             class_set=frozenset({0, 1}),
         )
         params = init_params(3, 8, 2, [9, 9])
