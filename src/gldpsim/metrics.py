@@ -91,8 +91,20 @@ def _mean(values: list[float | None]) -> float:
 def acc_global(
     shared: LayerParams, global_protos: dict[int, np.ndarray], test_sets: Sequence[LabeledSet]
 ) -> float:
-    """Mean per-client accuracy of the global model with global prototypes."""
-    return _mean([accuracy_prototypes(shared, global_protos, ts) for ts in test_sets])
+    """Mean per-client accuracy of the global model with global prototypes.
+
+    Each non-empty test set is embedded on its own (one stacked matmul
+    would not be bit-identical), and all rows are then scored in one
+    :func:`predict_batch` pass; empty test sets are skipped.
+    """
+    present = [ts for ts in test_sets if len(ts)]
+    if not present:
+        return _mean([])
+    embeddings = np.concatenate([embed(shared, ts.inputs) for ts in present])
+    hits = predict_batch(embeddings, global_protos) == np.concatenate([ts.labels for ts in present])
+    sizes = np.array([len(ts) for ts in present])
+    counts = np.add.reduceat(hits, np.cumsum(sizes) - sizes, dtype=np.int64)
+    return _mean([float(c / n) for c, n in zip(counts, sizes)])
 
 
 def acc_global_softmax(

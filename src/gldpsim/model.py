@@ -220,11 +220,13 @@ def grad_total(
     old_protos: dict[int, np.ndarray],
     global_protos: dict[int, np.ndarray],
     weights: LossWeights,
+    layers: tuple[str, ...] = ("shared", "head"),
 ) -> ModelParams:
     """Analytic gradient of :func:`loss_total`, shaped like ModelParams.
 
     Both relation terms reach the shared layer through the batch class-mean
-    embeddings; only cross-entropy touches the head.
+    embeddings; only cross-entropy touches the head. Only the gradients of
+    ``layers`` are computed; the other field is None.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -238,8 +240,11 @@ def grad_total(
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
 
-    grad_head_w = embedding.T @ d_logits
-    grad_head_b = d_logits.sum(axis=0)
+    head = None
+    if "head" in layers:
+        head = LayerParams(embedding.T @ d_logits, d_logits.sum(axis=0))
+    if "shared" not in layers:
+        return ModelParams(shared=None, head=head)
     d_embedding = d_logits @ params.head.weight.T
 
     local_c, global_c = weights.local_coeff, weights.global_coeff
@@ -266,12 +271,7 @@ def grad_total(
                 d_embedding[masks[c]] += d_proto
 
     d_pre = d_embedding * (pre_act > 0.0)
-    grad_shared_w = inputs.T @ d_pre
-    grad_shared_b = d_pre.sum(axis=0)
-    return ModelParams(
-        shared=LayerParams(grad_shared_w, grad_shared_b),
-        head=LayerParams(grad_head_w, grad_head_b),
-    )
+    return ModelParams(shared=LayerParams(inputs.T @ d_pre, d_pre.sum(axis=0)), head=head)
 
 
 def _sgd_step(layer: LayerParams, grad: LayerParams, step_size: float, weight_decay: float) -> None:
@@ -292,13 +292,14 @@ def _train(
 ) -> ModelParams:
     """Minibatch SGD on a copy of ``params`` over ``(layers, epochs)`` phases.
 
-    Each step takes the full gradient and moves only the phase's layers
-    (``"shared"``/``"head"``), in order. With ``prox_coeff > 0``, each
-    stepped layer is also pulled toward the received ``params`` (FedProx's
-    proximal term). Only cross-entropy reaches the head, so a phase that
-    does not step ``"shared"`` takes its gradients under ``CE_ONLY``: the
-    head gradients are bit-identical and the relation terms are not
-    computed.
+    Each step computes the gradient of the phase's layers only
+    (``"shared"``/``"head"``) and moves them, in order: a frozen layer's
+    gradient is never formed, and a head-only step skips the backward pass
+    through the shared layer. With ``prox_coeff > 0``, each stepped layer
+    is also pulled toward the received ``params`` (FedProx's proximal
+    term). Only cross-entropy reaches the head, so a phase that does not
+    step ``"shared"`` takes its gradients under ``CE_ONLY``: the head
+    gradients are bit-identical and the relation terms are not computed.
 
     The only writer of arrays in the package, and only into the copy of
     ``params`` made on entry. Every other array is shared by reference, no
@@ -318,7 +319,8 @@ def _train(
             for start in range(0, n, opt.batch_size):
                 sel = order[start : start + opt.batch_size]
                 grads = grad_total(
-                    params, inputs[sel], labels[sel], old_protos, global_protos, phase_weights
+                    params, inputs[sel], labels[sel], old_protos, global_protos, phase_weights,
+                    layers,
                 )
                 for name in layers:
                     layer, grad = getattr(params, name), getattr(grads, name)

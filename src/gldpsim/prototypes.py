@@ -91,15 +91,29 @@ def update_global(
     return update_local(store, {c: np.stack(v).mean(axis=0) for c, v in by_class.items()}, momentum)
 
 
+# Rows scored per block in predict_batch: bounds its (rows, classes, dim)
+# gap temporary, whatever the number of rows in one call.
+_BLOCK_ROWS = 64
+
+
 def predict_batch(embeddings: np.ndarray, store: dict[int, np.ndarray]) -> np.ndarray:
-    """Nearest-prototype class per row; ties break to the lowest class index."""
+    """Nearest-prototype class per row; ties break to the lowest class index.
+
+    Rows are scored in blocks of ``_BLOCK_ROWS``. Each row's distances are
+    computed from that row alone, so the blocking never changes a
+    prediction.
+    """
     if not store:
         raise ProtocolError("no prototypes available")
     classes = sorted(store)
-    matrix = np.stack([store[c] for c in classes])
-    gaps = embeddings[:, None, :] - matrix[None, :, :]
-    distances = np.sqrt((gaps**2).sum(axis=-1))
-    return np.array(classes, dtype=np.int64)[distances.argmin(axis=1)]
+    matrix = np.array([store[c] for c in classes])
+    nearest = np.empty(len(embeddings), dtype=np.intp)
+    for start in range(0, len(embeddings), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        gaps = embeddings[block, None, :] - matrix
+        np.multiply(gaps, gaps, out=gaps)
+        nearest[block] = np.sqrt(gaps.sum(axis=-1)).argmin(axis=1)
+    return np.array(classes, dtype=np.int64)[nearest]
 
 
 def inference_store(

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from gldpsim.datagen import LabeledSet
-from gldpsim.model import init_params, loss_total
+from gldpsim.errors import ProtocolError
+from gldpsim.model import embed, init_params, loss_total
 
 
 def finite_difference_grad(params, inputs, labels, old, glob, weights, eps=1e-5):
@@ -60,3 +61,28 @@ def rebuild_test_union(timeline, upto_stage=None):
                           np.empty(0, first.labels.dtype))
     return LabeledSet(np.concatenate([s.test.inputs for s in stages]),
                       np.concatenate([s.test.labels for s in stages]))
+
+
+def reference_predict_batch(embeddings, store):
+    """Nearest prototype per row from one (rows, classes, dim) gap array;
+    ties go to the lowest class."""
+    if not store:
+        raise ProtocolError("no prototypes available")
+    classes = sorted(store)
+    matrix = np.stack([store[c] for c in classes])
+    gaps = embeddings[:, None, :] - matrix[None, :, :]
+    distances = np.sqrt((gaps**2).sum(axis=-1))
+    return np.array(classes, dtype=np.int64)[distances.argmin(axis=1)]
+
+
+def reference_acc_global(shared, global_protos, test_sets):
+    """Mean over clients with test data of each client's own hit rate,
+    scored client by client."""
+    values = [
+        float((reference_predict_batch(embed(shared, ts.inputs), global_protos) == ts.labels).mean())
+        for ts in test_sets
+        if len(ts)
+    ]
+    if not values:
+        raise ProtocolError("no client's test data can be evaluated")
+    return float(np.mean(values))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldpsim import metrics
 from gldpsim.datagen import ClientTimeline, LabeledSet, StageTask
@@ -20,9 +22,12 @@ from gldpsim.model import (
     LayerParams,
     ModelParams,
     OptimizerConfig,
+    embed,
     init_params,
     local_update,
 )
+from gldpsim.prototypes import predict_batch
+from oracles import reference_acc_global, reference_predict_batch
 
 
 def identity_shared(dim: int) -> LayerParams:
@@ -64,14 +69,76 @@ class TestAccGlobal:
 
     def test_empty_store_error_propagates(self):
         data = labeled([[0.0, 0.0]], [0])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="no prototypes available"):
             acc_global(identity_shared(2), {}, [data])
+
+    @pytest.mark.parametrize("store", [{}, {0: np.zeros(2)}])
+    @pytest.mark.parametrize("sets", [0, 1, 3])
+    def test_no_test_data_raises_before_scoring(self, store, sets):
+        # The store is never consulted when no client has test rows.
+        empty = labeled(np.empty((0, 2)), [])
+        with pytest.raises(ProtocolError, match="no client's test data can be evaluated"):
+            acc_global(identity_shared(2), store, [empty] * sets)
 
     def test_empty_test_sets_are_skipped_in_mean(self):
         data = labeled([[1.0, 0.0]], [0])
         empty = labeled(np.empty((0, 2)), [])
         store = store_with({0: [1.0, 0.0], 1: [-1.0, 0.0]})
         assert acc_global(identity_shared(2), store, [data, empty]) == 1.0
+
+
+# Test-set sizes on either side of predict_batch's 64-row block.
+BLOCK_EDGE_SIZES = (0, 1, 63, 64, 65, 130)
+
+
+@st.composite
+def scoring_cases(draw):
+    """(shared layer, store, test sets) for the one-pass A_glo.
+
+    Some store classes repeat another's vector (ties), and inputs, stores
+    or both may sit near 1e200, where squared gaps overflow to inf.
+    """
+    dim = draw(st.integers(1, 70))
+    in_dim = draw(st.integers(1, 6))
+    classes = draw(st.lists(st.integers(0, 15), min_size=1, max_size=8, unique=True))
+    sizes = draw(st.lists(st.sampled_from(BLOCK_EDGE_SIZES), min_size=1, max_size=4))
+    input_scale = draw(st.sampled_from([1.0, 1e200]))
+    store_scales = draw(st.lists(st.sampled_from([1.0, 1e150, 1e200]),
+                                 min_size=len(classes), max_size=len(classes)))
+    twins = draw(st.lists(st.sampled_from(classes), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = LayerParams(rng.standard_normal((in_dim, dim)), rng.standard_normal(dim))
+    store = {c: rng.standard_normal(dim) * scale for c, scale in zip(classes, store_scales)}
+    for c in twins:
+        store[c] = store[classes[0]]
+    labels = [*classes, max(classes) + 1]  # one label the store cannot predict
+    test_sets = [labeled(rng.standard_normal((n, in_dim)) * input_scale, rng.choice(labels, n))
+                 for n in sizes]
+    return shared, store, test_sets
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOnePassMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_predict_batch(self, case):
+        shared, store, test_sets = case
+        for ts in test_sets:
+            embeddings = embed(shared, ts.inputs)
+            got, want = predict_batch(embeddings, store), reference_predict_batch(embeddings, store)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            raw = ts.inputs @ shared.weight  # negative coordinates too
+            assert np.array_equal(predict_batch(raw, store), reference_predict_batch(raw, store))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_acc_global(self, case):
+        shared, store, test_sets = case
+        if not any(len(ts) for ts in test_sets):
+            with pytest.raises(ProtocolError):
+                acc_global(shared, store, test_sets)
+            return
+        assert acc_global(shared, store, test_sets) == reference_acc_global(shared, store, test_sets)
 
 
 class TestAccLocal:

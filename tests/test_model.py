@@ -241,6 +241,21 @@ class TestGradTotal:
                 assert full.head.weight.tobytes() == plain.head.weight.tobytes()
                 assert full.head.bias.tobytes() == plain.head.bias.tobytes()
 
+    def test_layer_subset_is_bytes_of_full_gradient(self):
+        # Skipping a frozen layer's backward pass leaves the other layer's
+        # gradient bit-identical.
+        rng = np.random.default_rng(517)
+        for weights in (LossWeights(), CE_ONLY):
+            for _ in range(20):
+                case = random_configuration(rng)
+                full = grad_total(*case, weights)
+                head_only = grad_total(*case, weights, layers=("head",))
+                shared_only = grad_total(*case, weights, layers=("shared",))
+                assert head_only.shared is None and shared_only.head is None
+                for got, want in ((head_only.head, full.head), (shared_only.shared, full.shared)):
+                    assert got.weight.tobytes() == want.weight.tobytes()
+                    assert got.bias.tobytes() == want.bias.tobytes()
+
 
 def param_arrays(grads):
     """The four arrays of a ModelParams (gradients or parameters)."""
@@ -414,6 +429,40 @@ class TestJointUpdate:
         drift_free = float(np.abs(free.shared.weight - params.shared.weight).sum())
         drift_tight = float(np.abs(tight.shared.weight - params.shared.weight).sum())
         assert drift_tight < drift_free
+
+
+class TestFrozenLayerGradients:
+    def test_updates_match_full_gradient_runs(self, monkeypatch):
+        # Every update comes out bit-identical when grad_total ignores
+        # ``layers`` and always forms both layers' gradients.
+        rng = np.random.default_rng(16)
+        stage = one_stage(rng, samples=30)
+        params = init_params(3, 4, 2, [16, 16])
+        old = {0: rng.standard_normal(4)}
+        glob = {0: rng.standard_normal(4), 1: rng.standard_normal(4)}
+        opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=3, batch_size=8)
+
+        def updates():
+            return [
+                local_update(params, stage, old, glob, opt, LossWeights(), np.random.default_rng(3)),
+                local_update(params, stage, {}, {}, opt, CE_ONLY, np.random.default_rng(4)),
+                joint_update(params, stage, opt, np.random.default_rng(5)),
+                joint_update(params, stage, opt, np.random.default_rng(6), prox_coeff=0.1),
+            ]
+
+        staged = updates()
+        full_gradient, calls = model.grad_total, []
+
+        def ignore_layers(*args, **kwargs):
+            calls.append(1)
+            return full_gradient(*args[:6])
+
+        monkeypatch.setattr(model, "grad_total", ignore_layers)
+        unstaged = updates()
+        assert calls
+        for a, b in zip(staged, unstaged):
+            for got, want in zip(param_arrays(a), param_arrays(b)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestOptimizerConfigValidation:

@@ -173,6 +173,12 @@ class TestPredict:
         store = store_with({0: [1.0, 0.0], 1: [-1.0, 0.0]})
         assert predict_batch(np.array([[0.0, 0.0]]), store).tolist() == [0]
 
+    def test_tie_is_taken_after_the_square_root(self):
+        # Squared distances 1 + 2**-52 and 1 differ, but both round to a
+        # distance of 1.0, so the tie goes to the lower class.
+        store = store_with({0: [1.0, 2.0**-26], 1: [1.0, 0.0]})
+        assert predict_batch(np.array([[0.0, 0.0]]), store).tolist() == [0]
+
     def test_empty_store_raises(self):
         with pytest.raises(ProtocolError, match="no prototypes available"):
             predict_batch(np.array([[0.0]]), {})
