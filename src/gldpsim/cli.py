@@ -105,6 +105,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         key, raw_value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(
+                f"{path}:{lineno}: repeated key {key!r} (first set on line {key_lines[key]})"
+            )
         _, parser = _CONFIG_KEYS[key]
         try:
             values[key] = parser(raw_value)

@@ -23,7 +23,7 @@ changes are field reassignments: the client and server states in
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -107,17 +107,6 @@ class RoundMessage:
     stage_index: int
     payload: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "version": MESSAGE_FORMAT_VERSION,
-            "direction": self.direction,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "round": self.round_index,
-            "stage": self.stage_index,
-            "payload": {k: _jsonify(v) for k, v in sorted(self.payload.items())},
-        }
-
 
 def _jsonify(value):
     if isinstance(value, LayerParams):
@@ -129,12 +118,35 @@ def _jsonify(value):
     return value
 
 
+def _encode_payload(payload: dict) -> str:
+    return json.dumps(_jsonify(payload), sort_keys=True)
+
+
 def dump_message_log(messages: list[RoundMessage], path: str | Path) -> None:
-    """Write one JSON object per message, suitable for offline audits."""
+    """Write one JSON object per message, suitable for offline audits.
+
+    Each line holds the message fields and its payload, keys sorted. A
+    payload object that several messages carry (a stage's broadcast) is
+    encoded once, and its text is dropped after its last message. Texts
+    are keyed by ``id``: ``messages`` keeps every payload alive, so no
+    two of them share one.
+    """
+    uses = Counter(id(msg.payload) for msg in messages)
+    texts: dict[int, str] = {}
     with open(path, "w") as fh:
         for msg in messages:
-            fh.write(json.dumps(msg.to_json_dict(), sort_keys=True))
-            fh.write("\n")
+            key = id(msg.payload)
+            text = texts.pop(key, None) or _encode_payload(msg.payload)
+            uses[key] -= 1
+            if uses[key]:
+                texts[key] = text
+            fields = {
+                "receiver": msg.receiver, "round": msg.round_index, "sender": msg.sender,
+                "stage": msg.stage_index, "version": MESSAGE_FORMAT_VERSION,
+            }
+            # Sorted keys: direction, payload, then the other fields.
+            fh.write(f'{{"direction": {json.dumps(msg.direction)}, "payload": {text}, '
+                     f'{json.dumps(fields, sort_keys=True)[1:]}\n')
 
 
 @dataclass(frozen=True)

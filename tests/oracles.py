@@ -7,11 +7,13 @@ checks.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from gldpsim.datagen import LabeledSet
 from gldpsim.errors import ProtocolError
-from gldpsim.model import embed, init_params, loss_total
+from gldpsim.model import LayerParams, embed, init_params, loss_total
 
 
 def finite_difference_grad(params, inputs, labels, old, glob, weights, eps=1e-5):
@@ -86,3 +88,31 @@ def reference_acc_global(shared, global_protos, test_sets):
     if not values:
         raise ProtocolError("no client's test data can be evaluated")
     return float(np.mean(values))
+
+
+def _reference_jsonify(value):
+    if isinstance(value, LayerParams):
+        return {"weight": value.weight.tolist(), "bias": value.bias.tolist()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonify(v) for k, v in sorted(value.items())}
+    return value
+
+
+def reference_message_dict(msg):
+    """One logged message as a JSON-ready dict of version-1 fields."""
+    return {
+        "version": 1,
+        "direction": msg.direction,
+        "sender": msg.sender,
+        "receiver": msg.receiver,
+        "round": msg.round_index,
+        "stage": msg.stage_index,
+        "payload": {k: _reference_jsonify(v) for k, v in sorted(msg.payload.items())},
+    }
+
+
+def reference_message_line(msg):
+    """One dump line, encoded from scratch for every message."""
+    return json.dumps(reference_message_dict(msg), sort_keys=True)

@@ -212,7 +212,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, text, rest", RANGE_CASES, ids=[c[0] for c in RANGE_CASES])
     def test_range_error_names_key_and_line(self, tmp_path, capsys, key, text, rest):
         path = tmp_path / "r.cfg"
-        path.write_text(f"# range check\nrounds = 3\n{key} = {text}\n")
+        other = "seed = 0" if key == "rounds" else "rounds = 3"  # a key is set once
+        path.write_text(f"# range check\n{other}\n{key} = {text}\n")
         code = main(["--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"configuration error: {path}:3: {key} {rest}\n"
@@ -231,6 +232,16 @@ class TestParseConfig:
             assert capsys.readouterr().err == (
                 f"configuration error: {path}:2: unknown key '{key}'\n"
             )
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("rounds = 3\n# again\nrounds = 5\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {path}:3: repeated key 'rounds' (first set on line 1)\n"
+        )
+        assert not out.exists()
 
     def test_default_clients_per_round_over_num_clients_names_num_clients(self, tmp_path, capsys):
         path = tmp_path / "x.cfg"

@@ -1,12 +1,15 @@
 import json
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gldpsim import federation
 from gldpsim.datagen import DatasetSpec, PartitionPlan
 from gldpsim.errors import ConfigError, DataError, ProtocolError, SimulationError
 from gldpsim.federation import (
@@ -35,6 +38,7 @@ from gldpsim.model import (
 )
 from gldpsim.prototypes import inference_store
 
+from oracles import reference_message_dict, reference_message_line
 from trend_runs import cached_run
 
 
@@ -58,6 +62,24 @@ def tiny_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300, 1e16])
+_vectors = arrays(np.float64, st.integers(1, 3), elements=_floats)
+_layers = st.builds(
+    LayerParams, arrays(np.float64, st.tuples(st.integers(1, 2), st.integers(1, 2)), elements=_floats),
+    _vectors,
+)
+_class_maps = st.dictionaries(st.integers(0, 12), _vectors, max_size=4)
+_payloads = st.fixed_dictionaries(
+    {"shared": _layers},
+    optional={
+        "head": _layers,
+        "global_prototypes": _class_maps,
+        "prototypes": _class_maps,
+        "class_counts": st.dictionaries(st.integers(0, 12), st.integers(0, 500), max_size=4),
+    },
+)
 
 
 class TestSelectClients:
@@ -186,7 +208,7 @@ class TestRunStage:
             for stage_index in (1, 2):
                 run_stage(server, clients, in_order, stage_index, config, messages)
             uploads = sorted(
-                (m.to_json_dict() for m in messages if m.direction == "client_to_server"),
+                (reference_message_dict(m) for m in messages if m.direction == "client_to_server"),
                 key=lambda m: (m["stage"], m["sender"]),
             )
             return server, clients, uploads
@@ -591,6 +613,80 @@ class TestMessagesAndAudit:
         parsed = json.loads(lines[0])
         assert parsed["version"] == 1
         assert parsed["direction"] == "server_to_client"
+
+    @pytest.mark.parametrize("inference_mode", INFERENCE_MODES)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_dump_matches_reference_encoder(self, algorithm, inference_mode, tmp_path):
+        config = tiny_config(algorithm=algorithm, inference_mode=inference_mode, rounds=3)
+        messages, _ = self.run_with_log(config)
+        path = tmp_path / "messages.jsonl"
+        dump_message_log(messages, path)
+        want = "".join(reference_message_line(m) + "\n" for m in messages)
+        assert path.read_bytes() == want.encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pool=st.lists(_payloads, min_size=1, max_size=4), data=st.data())
+    def test_dump_matches_reference_on_hand_built_logs(self, pool, data, tmp_path_factory):
+        # The first payload object is repeated non-adjacently and last. Its
+        # class keys cross 10 ("10" sorts before "2" as JSON text).
+        edge = {
+            "global_prototypes": {2: np.array([-0.0, 1e-300]), 10: np.array([1e16, 0.5])},
+            "class_counts": {2: 3, 10: 1},
+            "shared": LayerParams(np.array([[-0.0]]), np.array([1e16])),
+        }
+        picks = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        senders = st.sampled_from(["server", 0, 3, 12])
+        messages = []
+        for i, payload in enumerate([edge, pool[0], *picks, edge]):
+            sender = data.draw(senders)
+            if sender == "server":
+                direction, receiver = "server_to_client", data.draw(st.integers(0, 12))
+            else:
+                direction, receiver = "client_to_server", "server"
+            messages.append(RoundMessage(direction, sender, receiver, 1 + i // 3, 1 + i % 3, payload))
+        path = tmp_path_factory.mktemp("dump") / "messages.jsonl"
+        dump_message_log(messages, path)
+        want = "".join(reference_message_line(m) + "\n" for m in messages)
+        assert path.read_bytes() == want.encode()
+
+    def test_dump_encodes_each_payload_object_once(self, monkeypatch, tmp_path):
+        encoded = []
+        encode = federation._encode_payload
+
+        def counting(payload):
+            encoded.append(id(payload))
+            return encode(payload)
+
+        monkeypatch.setattr(federation, "_encode_payload", counting)
+        messages, _ = self.run_with_log(tiny_config(rounds=2))
+        path = tmp_path / "messages.jsonl"
+        dump_message_log(messages, path)
+        distinct = {id(m.payload) for m in messages}
+        assert sorted(encoded) == sorted(distinct)
+        assert len(distinct) < len(messages)
+        assert len(path.read_text().splitlines()) == len(messages)
+
+    def test_dump_releases_each_text_after_its_last_message(self, tmp_path):
+        # 30 broadcasts of ~100 KB text, each sent twice around an upload:
+        # holding every text would peak above 30 texts, releasing holds one.
+        rng = np.random.default_rng(0)
+        messages = []
+        for stage in range(1, 31):
+            broadcast = {"global_prototypes": {0: rng.standard_normal(5000)}}
+            messages += [
+                RoundMessage("server_to_client", "server", 0, 1, stage, broadcast),
+                RoundMessage("client_to_server", 0, "server", 1, stage, {"shared": np.zeros(2)}),
+                RoundMessage("server_to_client", "server", 1, 1, stage, broadcast),
+            ]
+        path = tmp_path / "messages.jsonl"
+        tracemalloc.start()
+        try:
+            dump_message_log(messages, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text_bytes = len(path.read_text().splitlines()[0])
+        assert peak < 15 * text_bytes
 
 
 class TestConfigValidation:
