@@ -13,7 +13,7 @@ import math
 import sys
 import time
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -160,18 +160,6 @@ def ablation_variants(base: ExperimentConfig) -> list[tuple[str, ExperimentConfi
     ]
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    seeds: list[int]
-    output_dir: str
-    runs: list[dict] = field(default_factory=list)
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-
-
 def _aggregate_rows(logs: list[MetricsLog]) -> list[tuple[int, int, str, str, float, float]]:
     """Mean/stddev of ALL-scope rows across seeds, keyed by (round, stage, metric)."""
     grouped: dict[tuple[int, int, str, str], list[float]] = {}
@@ -195,10 +183,11 @@ def run(
     named_configs: list[tuple[str, ExperimentConfig]],
     seeds: list[int],
     out_dir: str | Path,
-) -> RunManifest:
+) -> dict:
     """Execute configs x seeds, writing per-run and aggregate CSVs.
 
-    Re-running the same manifest reproduces byte-identical CSVs.
+    Returns the dict written to ``manifest.json``. Re-running the same
+    manifest reproduces byte-identical CSVs.
     """
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
@@ -218,9 +207,8 @@ def run(
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
-    manifest = RunManifest(
-        config_hash=hasher.hexdigest(), seeds=list(seeds), output_dir=str(out)
-    )
+    manifest = {"config_hash": hasher.hexdigest(), "seeds": list(seeds),
+                "output_dir": str(out), "runs": []}
 
     combined = MetricsLog()
     for name, configs in seeded:
@@ -231,7 +219,7 @@ def run(
             elapsed = time.perf_counter() - started
             csv_path = out / f"{name}_seed{seed}.csv"
             mlog.to_csv(csv_path)
-            manifest.runs.append(
+            manifest["runs"].append(
                 {
                     "config": name,
                     "seed": seed,
@@ -252,7 +240,8 @@ def run(
                 combined.add(round_index, stage_index, name, metric, "ALL", mean)
 
     combined.to_csv(out / "combined_mean.csv")
-    manifest.save(out / "manifest.json")
+    with open(out / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest
 
 
@@ -299,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             named = [(f"{base_name}_{config.algorithm.lower()}", config)]
         manifest = run(named, seeds, args.out)
-        print(f"wrote {len(manifest.runs)} run(s) to {manifest.output_dir}")
+        print(f"wrote {len(manifest['runs'])} run(s) to {manifest['output_dir']}")
         return 0
     except SimulationError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

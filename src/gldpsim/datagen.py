@@ -246,8 +246,6 @@ def _stage_class_sets(classes: list[int], num_stages: int) -> list[list[int]]:
     introduce classes and revisit earlier ones.
     """
     count = len(classes)
-    if num_stages == 1:
-        return [list(classes)]
     if count >= num_stages:
         return [[classes[i] for i in range(count) if i % num_stages == j] for j in range(num_stages)]
     if count >= 3:

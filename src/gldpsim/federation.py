@@ -467,7 +467,8 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
 def audit_message_log(
     messages: list[RoundMessage], clients: dict[int, ClientState], algorithm: str
 ) -> list[str]:
-    """Check client uploads for personalized-layer, input, or label leaks.
+    """Check client uploads only for *exact copies* of head parameters, raw
+    inputs, or labels; an upload that an input can be computed from passes.
 
     Returns a list of human-readable violations (empty when clean). The
     allowed upload schema depends on the algorithm: personalized

@@ -47,13 +47,6 @@ class MetricsLog:
             MetricRow(int(round_index), int(stage_index), algorithm, metric, str(scope), float(value))
         )
 
-    def select(self, metric: str, scope: str | None = None) -> list[MetricRow]:
-        return [
-            r
-            for r in self.rows
-            if r.metric == metric and (scope is None or r.scope == scope)
-        ]
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -67,8 +60,9 @@ class MetricsLog:
 def accuracy_prototypes(
     shared: LayerParams, store: dict[int, np.ndarray], data: LabeledSet
 ) -> float | None:
-    """Nearest-prototype accuracy on one labeled set; None when empty."""
-    if len(data) == 0:
+    """Nearest-prototype accuracy on one labeled set; None when the set or
+    the store is empty, so a client without prototypes is skipped."""
+    if len(data) == 0 or not store:
         return None
     predicted = predict_batch(embed(shared, data.inputs), store)
     return float((predicted == data.labels).mean())
@@ -147,7 +141,7 @@ def acc_local(
     for i, ((shared, store), ts) in enumerate(zip(models, test_sets)):
         classes = sorted(store)
         values.append(_reuse(memo, i, classes, (shared, ts, *(store[c] for c in classes)),
-                             lambda: accuracy_prototypes(shared, store, ts) if store else None))
+                             lambda: accuracy_prototypes(shared, store, ts)))
     return _mean(values)
 
 
@@ -165,8 +159,6 @@ def acc_sel_prototypes(
     shared: LayerParams, store: dict[int, np.ndarray], timeline: ClientTimeline, stage_index: int
 ) -> float | None:
     """Accuracy on the union of the client's test sets for stages 1..m."""
-    if len(store) == 0:
-        return None
     return accuracy_prototypes(shared, store, timeline.test_union(stage_index))
 
 

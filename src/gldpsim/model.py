@@ -12,9 +12,8 @@ and the global relation is a count-weighted MSE pulling batch prototypes
 toward the server's global ones.
 
 Both relation terms act on the class-mean embeddings, so only
-cross-entropy reaches the head. Training phases that step the head alone
-therefore run under ``CE_ONLY``; their steps are bit-identical to those
-taken under the full loss.
+cross-entropy reaches the head. A training phase that steps the head alone
+forms only the head gradient and so never reaches the relation terms.
 """
 
 from __future__ import annotations
@@ -297,9 +296,8 @@ def _train(
     gradient is never formed, and a head-only step skips the backward pass
     through the shared layer. With ``prox_coeff > 0``, each stepped layer
     is also pulled toward the received ``params`` (FedProx's proximal
-    term). Only cross-entropy reaches the head, so a phase that does not
-    step ``"shared"`` takes its gradients under ``CE_ONLY``: the head
-    gradients are bit-identical and the relation terms are not computed.
+    term). Only cross-entropy reaches the head, so a head-only phase forms
+    the head gradient alone and never reaches the relation terms.
 
     The only writer of arrays in the package, and only into the copy of
     ``params`` made on entry. Every other array is shared by reference, no
@@ -313,14 +311,12 @@ def _train(
     n = len(labels)
 
     for layers, epochs in phases:
-        phase_weights = weights if "shared" in layers else CE_ONLY
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, opt.batch_size):
                 sel = order[start : start + opt.batch_size]
                 grads = grad_total(
-                    params, inputs[sel], labels[sel], old_protos, global_protos, phase_weights,
-                    layers,
+                    params, inputs[sel], labels[sel], old_protos, global_protos, weights, layers
                 )
                 for name in layers:
                     layer, grad = getattr(params, name), getattr(grads, name)

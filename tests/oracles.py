@@ -116,3 +116,14 @@ def reference_message_dict(msg):
 def reference_message_line(msg):
     """One dump line, encoded from scratch for every message."""
     return json.dumps(reference_message_dict(msg), sort_keys=True)
+
+
+def reconstruct_input(shared, prototype):
+    """The input x whose embedding ``relu(x @ W + b)`` matches ``prototype``
+    on its active units, by least squares: the closed-form inversion of a
+    prototype formed from one sample."""
+    active = prototype > 0.0
+    solution, *_ = np.linalg.lstsq(
+        shared.weight[:, active].T, prototype[active] - shared.bias[active], rcond=None
+    )
+    return solution

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference_grad, random_configuration
-from trend_runs import cached_run
+from trend_runs import cached_run, select
 
 from gldpsim.cli import run
 from gldpsim.datagen import (
@@ -58,7 +58,7 @@ def desk_config(algorithm: str, num_stages: int, **overrides) -> ExperimentConfi
 
 def final_metric(config: ExperimentConfig, metric: str) -> float:
     mlog = cached_run(config)
-    rows = sorted(mlog.select(metric, "ALL"), key=lambda r: (r.round_index, r.stage_index))
+    rows = sorted(select(mlog, metric, "ALL"), key=lambda r: (r.round_index, r.stage_index))
     return rows[-1].value
 
 
@@ -70,7 +70,7 @@ def final_stage_asel(config: ExperimentConfig, window: int = 10) -> float:
     per-round evaluation noise of desk-scale test sets.
     """
     mlog = cached_run(config)
-    rows = mlog.select("A_sel", "ALL")
+    rows = select(mlog, "A_sel", "ALL")
     last_stage = max(r.stage_index for r in rows)
     per_round = {r.round_index: r.value for r in rows if r.stage_index == last_stage}
     tail = sorted(per_round)[-window:]

@@ -337,8 +337,8 @@ class TestParseConfig:
 class TestRun:
     def test_three_seeds_make_three_csvs_plus_aggregate(self, tmp_path):
         manifest = run([("fast", fast_config())], [0, 1, 2], tmp_path / "out")
-        assert len(manifest.runs) == 3
-        for entry in manifest.runs:
+        assert len(manifest["runs"]) == 3
+        for entry in manifest["runs"]:
             assert (tmp_path / "out" / f"fast_seed{entry['seed']}.csv").exists()
         aggregate = (tmp_path / "out" / "fast_aggregate.csv").read_text().splitlines()
         assert aggregate[0] == "round,stage,algorithm,metric,scope,mean,stddev"

@@ -332,6 +332,21 @@ def desk_timelines(seed):
     return partition_clients(longtailed, config.plan, seed)
 
 
+class TestDeskTestCoverage:
+    def test_desk_test_rows_are_classes_0_to_3(self):
+        # A (client, stage) class part of 1-2 samples goes wholly to
+        # training, and beyond class 2 almost every desk part is that small:
+        # seeds 0-4 hold test rows in classes 0-3 only, and 9-17 of the 20
+        # clients hold any. A partition change that moves this says so here.
+        per_class, holders = np.zeros(10, dtype=np.int64), []
+        for seed in range(5):
+            unions = [t.test_union() for t in desk_timelines(seed)]
+            per_class += sum(np.bincount(u.labels, minlength=10) for u in unions)
+            holders.append(sum(1 for u in unions if len(u)))
+        assert per_class.tolist() == [116, 55, 18, 3, 0, 0, 0, 0, 0, 0]
+        assert holders == [17, 12, 9, 12, 13]
+
+
 def upto_values(num_stages):
     return [None, *range(-num_stages - 1, num_stages + 2)]
 

@@ -2,6 +2,7 @@ import json
 import logging
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gldpsim import federation
+from gldpsim.cli import parse_config
 from gldpsim.datagen import DatasetSpec, PartitionPlan
 from gldpsim.errors import ConfigError, DataError, ProtocolError, SimulationError
 from gldpsim.federation import (
@@ -38,8 +40,10 @@ from gldpsim.model import (
 )
 from gldpsim.prototypes import inference_store
 
-from oracles import reference_message_dict, reference_message_line
-from trend_runs import cached_run
+from oracles import reconstruct_input, reference_message_dict, reference_message_line
+from trend_runs import cached_run, select
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -451,7 +455,7 @@ class TestRunExperiment:
         drawn = data.draw(tiny_configs())
         config = partial_participation(replace(drawn, algorithm=algorithm, inference_mode=mode))
         try:
-            logged = [r.value for r in run_experiment(config).select(A_LOCAL, "ALL")]
+            logged = [r.value for r in select(run_experiment(config), A_LOCAL, "ALL")]
         except SimulationError as exc:
             event(f"raised {type(exc).__name__}")
             return
@@ -518,7 +522,7 @@ class TestStagedTrendDirection:
             config = ExperimentConfig(algorithm=algorithm, rounds=30).with_seed(seed)
             mlog = cached_run(config)
             rows = sorted(
-                mlog.select(A_SELECTED, "ALL"), key=lambda r: (r.round_index, r.stage_index)
+                select(mlog, A_SELECTED, "ALL"), key=lambda r: (r.round_index, r.stage_index)
             )
             return rows[-1].value
 
@@ -542,6 +546,28 @@ class TestMessagesAndAudit:
         assert uploads
         for msg in uploads:
             assert set(msg.payload) == {"shared", "prototypes", "class_counts"}
+        assert audit_message_log(messages, clients, "GLDP") == []
+
+    def test_one_sample_prototype_uploads_give_back_their_inputs(self):
+        # The audit checks uploads only for exact copies. A prototype formed
+        # from one training sample is that sample's embedding, and least
+        # squares on the uploaded shared layer's active units inverts it. On
+        # desk (6 rounds, seed 0) half of GLDP's prototype uploads are such.
+        config = replace(parse_config(DESK), rounds=6)
+        messages, clients = self.run_with_log(config)
+        uploads = one_sample = 0
+        for msg in messages:
+            if msg.direction != "client_to_server":
+                continue
+            train = clients[msg.sender].timeline.stages[msg.stage_index - 1].train
+            for cls, proto in msg.payload["prototypes"].items():
+                uploads += 1
+                rows = train.inputs[train.labels == cls]
+                if len(rows) == 1:
+                    one_sample += 1
+                    recovered = reconstruct_input(msg.payload["shared"], proto)
+                    np.testing.assert_allclose(recovered, rows[0], rtol=0, atol=1e-8)
+        assert (one_sample, uploads) == (225, 450)
         assert audit_message_log(messages, clients, "GLDP") == []
 
     def test_audit_flags_head_leak(self):

@@ -230,7 +230,8 @@ class TestGradTotal:
         assert norm < 1e-10
 
     def test_head_gradient_is_cross_entropy_only(self):
-        # The invariant behind head-only phases running under CE_ONLY.
+        # Only cross-entropy reaches the head, so a head-only phase never
+        # reaches the relation terms.
         rng = np.random.default_rng(516)
         for weights in (LossWeights(), LossWeights(0.3, 0.01), LossWeights(1.0, 0.5)):
             for _ in range(20):
@@ -390,22 +391,6 @@ class TestLocalUpdate:
         b = local_update(params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(99))
         assert np.array_equal(a.shared.weight, b.shared.weight)
         assert np.array_equal(a.head.weight, b.head.weight)
-
-    def test_head_phase_under_ce_only_matches_full_loss(self, monkeypatch):
-        # Head epochs skip the relation terms; with them put back, every
-        # parameter comes out bit-identical.
-        rng = np.random.default_rng(14)
-        stage = one_stage(rng)
-        params = init_params(3, 4, 2, [14, 14])
-        old = {0: rng.standard_normal(4)}
-        glob = {0: rng.standard_normal(4), 1: rng.standard_normal(4)}
-        opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=3, batch_size=6)
-        weights = LossWeights(relation_mix=0.3, temperature=0.5)
-        fast = local_update(params, stage, old, glob, opt, weights, np.random.default_rng(7))
-        monkeypatch.setattr(model, "CE_ONLY", weights)
-        full = local_update(params, stage, old, glob, opt, weights, np.random.default_rng(7))
-        for got, want in zip(param_arrays(fast), param_arrays(full)):
-            assert got.tobytes() == want.tobytes()
 
 
 class TestJointUpdate:
