@@ -113,10 +113,10 @@ class StageTask:
 
     def __post_init__(self) -> None:
         for name, part in (("train", self.train), ("test", self.test)):
-            present = np.unique(part.labels).tolist()
-            if not self.class_set.issuperset(present):
+            labels = part.labels.tolist()
+            if not self.class_set.issuperset(labels):
                 raise DataError(
-                    f"stage {self.stage_index} {name} labels {present} "
+                    f"stage {self.stage_index} {name} labels {sorted(set(labels))} "
                     f"outside class set {sorted(self.class_set)}"
                 )
 
@@ -254,6 +254,14 @@ def _stage_class_sets(classes: list[int], num_stages: int) -> list[list[int]]:
     return [[classes[j % count]] for j in range(num_stages)]
 
 
+def _split(index: np.ndarray, sections: int) -> list[np.ndarray]:
+    """``np.array_split(index, sections)`` as plain slices: the first
+    ``len(index) % sections`` parts hold one element more."""
+    size, extra = divmod(len(index), sections)
+    bounds = [j * size + min(j, extra) for j in range(sections + 1)]
+    return [index[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[ClientTimeline]:
     """Carve a dataset into per-client multi-stage timelines.
 
@@ -290,7 +298,7 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
         holders = [i for i in range(n) if c in assignment_sets[i]]
         idx = np.where(data.labels == c)[0]
         idx = rng.permutation(idx)
-        parts = np.array_split(idx, len(holders))
+        parts = _split(idx, len(holders))
         roll = int(rng.integers(len(holders)))
         for j, holder in enumerate(holders):
             shares[holder][c] = parts[(j + roll) % len(holders)]
@@ -308,7 +316,7 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
         for c in effective:
             with_c = [j for j in range(m) if c in stage_classes[j]]
             chunk = shares[i][c]
-            parts = np.array_split(chunk, len(with_c))
+            parts = _split(chunk, len(with_c))
             roll = int(rng.integers(len(with_c))) if len(with_c) > 1 else 0
             for j, stage_j in enumerate(with_c):
                 part = parts[(j + roll) % len(with_c)]

@@ -58,21 +58,23 @@ class MetricsLog:
 
 
 def accuracy_prototypes(
-    shared: LayerParams, store: dict[int, np.ndarray], data: LabeledSet
+    shared: LayerParams, store: dict[int, np.ndarray], data: LabeledSet,
+    *, embedded: np.ndarray | None = None,
 ) -> float | None:
     """Nearest-prototype accuracy on one labeled set; None when the set or
-    the store is empty, so a client without prototypes is skipped."""
+    the store is empty, so a client without prototypes is skipped.
+    ``embedded``, if given, is ``embed(shared, data.inputs)`` already formed."""
     if len(data) == 0 or not store:
         return None
-    predicted = predict_batch(embed(shared, data.inputs), store)
-    return float((predicted == data.labels).mean())
+    embedded = embed(shared, data.inputs) if embedded is None else embedded
+    return np.count_nonzero(predict_batch(embedded, store) == data.labels) / len(data)
 
 
 def accuracy_softmax(params: ModelParams, data: LabeledSet) -> float | None:
     if len(data) == 0:
         return None
     _, logits = forward(params, data.inputs)
-    return float((logits.argmax(axis=1) == data.labels).mean())
+    return np.count_nonzero(logits.argmax(axis=1) == data.labels) / len(data)
 
 
 def _mean(values: list[float | None]) -> float:
@@ -134,14 +136,22 @@ def acc_local(
     Clients whose resolved store is still empty (never trained, nothing
     global to fall back on) are skipped. ``memo`` carries each position's
     value to the next call, until its shared layer, test set or store
-    vectors are replaced.
+    vectors are replaced. It also holds each non-empty test set's embedding,
+    under ``("embedded", position)``, which a miss that replaced only store
+    vectors scores instead of embedding the rows again.
     """
     memo = {} if memo is None else memo
+
+    def score(i, shared, store, ts):
+        embedded = _reuse(memo, ("embedded", i), [], (shared, ts),
+                          lambda: embed(shared, ts.inputs)) if len(ts) else None
+        return accuracy_prototypes(shared, store, ts, embedded=embedded)
+
     values = []
     for i, ((shared, store), ts) in enumerate(zip(models, test_sets)):
         classes = sorted(store)
         values.append(_reuse(memo, i, classes, (shared, ts, *(store[c] for c in classes)),
-                             lambda: accuracy_prototypes(shared, store, ts)))
+                             lambda: score(i, shared, store, ts)))
     return _mean(values)
 
 

@@ -8,12 +8,23 @@ checks.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from gldpsim.datagen import LabeledSet
-from gldpsim.errors import ProtocolError
-from gldpsim.model import LayerParams, embed, init_params, loss_total
+from gldpsim.datagen import (
+    _TAG_PARTITION,
+    _TRAIN_FRACTION,
+    ClientTimeline,
+    LabeledSet,
+    PartitionPlan,
+    StageTask,
+    _stage_class_sets,
+    log,
+)
+from gldpsim.errors import ConfigError, DataError, ProtocolError
+from gldpsim.model import LayerParams, embed, forward, init_params, loss_total
+from gldpsim.prototypes import predict_batch
 
 
 def finite_difference_grad(params, inputs, labels, old, glob, weights, eps=1e-5):
@@ -90,6 +101,22 @@ def reference_acc_global(shared, global_protos, test_sets):
     return float(np.mean(values))
 
 
+def reference_accuracy_prototypes(shared, store, data):
+    """Nearest-prototype accuracy as the mean of the hit array."""
+    if len(data) == 0 or not store:
+        return None
+    predicted = predict_batch(embed(shared, data.inputs), store)
+    return float((predicted == data.labels).mean())
+
+
+def reference_accuracy_softmax(params, data):
+    """Softmax accuracy as the mean of the hit array."""
+    if len(data) == 0:
+        return None
+    _, logits = forward(params, data.inputs)
+    return float((logits.argmax(axis=1) == data.labels).mean())
+
+
 def _reference_jsonify(value):
     if isinstance(value, LayerParams):
         return {"weight": value.weight.tolist(), "bias": value.bias.tolist()}
@@ -127,3 +154,98 @@ def reconstruct_input(shared, prototype):
         shared.weight[:, active].T, prototype[active] - shared.bias[active], rcond=None
     )
     return solution
+
+
+# The partitioner as it was while it split with np.array_split, verbatim but
+# for its name: the slicing one must give the same stages from the same draws.
+def reference_partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[ClientTimeline]:
+    """Carve a dataset into per-client multi-stage timelines.
+
+    Every client draws ``classes_per_client`` distinct classes (redrawn
+    until each class has at least one assignee; ``ExperimentConfig`` checks
+    that the plan can cover the classes); each class's samples are split
+    disjointly among its assignees; each client's share is then spread
+    over its stages, with an 80/20 train/test split per stage.
+    A stage left without training samples is tolerated here, and the
+    training protocol skips it; one warning per partition names every such
+    (client, stage) pair. A partition in which no client holds any test
+    sample raises ``DataError``: no accuracy could be measured.
+    """
+    num_classes = int(data.labels.max()) + 1
+    n, s, m = plan.num_clients, plan.classes_per_client, plan.num_stages
+
+    rng = np.random.default_rng([seed, _TAG_PARTITION])
+    for _ in range(1000):
+        assignments = [rng.choice(num_classes, size=s, replace=False) for _ in range(n)]
+        covered: set[int] = set()
+        for a in assignments:
+            covered.update(int(c) for c in a)
+        if len(covered) == num_classes:
+            break
+    else:
+        raise ConfigError(
+            f"failed to cover all {num_classes} classes with {n} clients x {s} classes"
+        )
+
+    # Split each class's samples disjointly among the clients holding it.
+    shares: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
+    assignment_sets = [set(int(c) for c in a) for a in assignments]
+    for c in range(num_classes):
+        holders = [i for i in range(n) if c in assignment_sets[i]]
+        idx = np.where(data.labels == c)[0]
+        idx = rng.permutation(idx)
+        parts = np.array_split(idx, len(holders))
+        roll = int(rng.integers(len(holders)))
+        for j, holder in enumerate(holders):
+            shares[holder][c] = parts[(j + roll) % len(holders)]
+
+    timelines = []
+    empty: list[str] = []
+    for i in range(n):
+        drawn_order = [int(c) for c in assignments[i]]
+        effective = [c for c in drawn_order if shares[i][c].size > 0]
+        if not effective:
+            raise DataError(f"client {i} received no samples for any of its classes")
+        stage_classes = _stage_class_sets(effective, m)
+
+        per_stage: list[list[np.ndarray]] = [[] for _ in range(m)]
+        for c in effective:
+            with_c = [j for j in range(m) if c in stage_classes[j]]
+            chunk = shares[i][c]
+            parts = np.array_split(chunk, len(with_c))
+            roll = int(rng.integers(len(with_c))) if len(with_c) > 1 else 0
+            for j, stage_j in enumerate(with_c):
+                part = parts[(j + roll) % len(with_c)]
+                if part.size:
+                    per_stage[stage_j].append(part)
+
+        stages = []
+        for j in range(m):
+            train_parts, test_parts = [], []
+            for part in per_stage[j]:
+                n_train = max(1, int(math.floor(_TRAIN_FRACTION * part.size + 0.5)))
+                train_parts.append(part[:n_train])
+                test_parts.append(part[n_train:])
+            train_idx = np.concatenate(train_parts) if train_parts else np.empty(0, dtype=np.int64)
+            test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
+            if train_idx.size == 0:
+                empty.append(f"{i}:{j + 1}")
+            stages.append(
+                StageTask(
+                    stage_index=j + 1,
+                    train=data.subset(train_idx),
+                    test=data.subset(test_idx),
+                    class_set=frozenset(stage_classes[j]),
+                )
+            )
+        timelines.append(ClientTimeline(client_id=i, stages=stages))
+    if empty:
+        log.warning("%d of %d stages have no training samples and are skipped (client:stage): %s",
+                    len(empty), n * m, " ".join(empty))
+    if not any(len(stage.test) for t in timelines for stage in t.stages):
+        raise DataError(
+            f"no client holds any test sample: {len(data)} samples over {n} clients x {m} "
+            "stages leave stage parts of 1-2 samples, which go wholly to training; "
+            "use fewer clients or stages, or more samples"
+        )
+    return timelines

@@ -16,12 +16,13 @@ from gldpsim.datagen import (
     apply_longtail,
     longtail_class_counts,
     make_synthetic_dataset,
+    _split,
     partition_clients,
 )
 from gldpsim.errors import ConfigError, DataError
 from gldpsim.federation import ExperimentConfig
 from gldpsim.prototypes import compute_counts
-from oracles import rebuild_test_union
+from oracles import rebuild_test_union, reference_partition_clients
 
 
 def small_spec(**overrides):
@@ -317,6 +318,13 @@ class TestInvariantGuards:
         with pytest.raises(DataError):
             StageTask(stage_index=1, train=bad, test=bad.subset(np.arange(0)), class_set=frozenset({0}))
 
+    def test_stage_task_error_names_each_label_once_in_order(self):
+        good = LabeledSet(np.zeros((1, 2)), np.array([0]))
+        bad = LabeledSet(np.zeros((4, 2)), np.array([7, 0, 5, 7]))
+        message = r"^stage 3 test labels \[0, 5, 7\] outside class set \[0, 1\]$"
+        with pytest.raises(DataError, match=message):
+            StageTask(stage_index=3, train=good, test=bad, class_set=frozenset({1, 0}))
+
 
 def assert_same_set(got, want):
     for name in ("inputs", "labels"):
@@ -330,6 +338,50 @@ def desk_timelines(seed):
     data = make_synthetic_dataset(config.dataset, seed)
     longtailed = apply_longtail(data, config.plan.imbalance_factor, seed)
     return partition_clients(longtailed, config.plan, seed)
+
+
+def partition_with_warnings(partition, data, plan, seed, caplog):
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="gldpsim.datagen"):
+        timelines = partition(data, plan, seed)
+    return timelines, [r.getMessage() for r in caplog.records]
+
+
+class TestPartitionMatchesReference:
+    """The slicing partitioner gives the stages of the np.array_split one."""
+
+    @pytest.mark.parametrize("shape, seeds", [("desk", range(5)), ("population", range(2))])
+    def test_same_stages_and_warning(self, shape, seeds, caplog):
+        config = parse_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+        spec, plan = config.dataset, config.plan
+        if shape == "population":
+            spec = DatasetSpec(spec.num_classes, spec.input_dim, 5000,
+                               spec.class_center_scale, spec.noise_sigma)
+            plan = PartitionPlan(500, plan.classes_per_client, plan.num_stages,
+                                 plan.imbalance_factor)
+        for seed in seeds:
+            data = apply_longtail(make_synthetic_dataset(spec, seed), plan.imbalance_factor, seed)
+            got, got_log = partition_with_warnings(partition_clients, data, plan, seed, caplog)
+            want, want_log = partition_with_warnings(
+                reference_partition_clients, data, plan, seed, caplog)
+            assert got_log == want_log
+            assert [t.client_id for t in got] == [t.client_id for t in want]
+            for g, w in zip(got, want):
+                assert len(g.stages) == len(w.stages)
+                for gs, ws in zip(g.stages, w.stages):
+                    assert (gs.stage_index, gs.class_set) == (ws.stage_index, ws.class_set)
+                    assert_same_set(gs.train, ws.train)
+                    assert_same_set(gs.test, ws.test)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 200), st.integers(1, 40))
+    def test_split_is_array_split(self, length, sections):
+        index = np.arange(length, dtype=np.int64)
+        got, want = _split(index, sections), np.array_split(index, sections)
+        assert len(got) == len(want) == sections
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
 
 
 class TestDeskTestCoverage:

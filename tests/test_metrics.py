@@ -27,7 +27,12 @@ from gldpsim.model import (
     local_update,
 )
 from gldpsim.prototypes import predict_batch
-from oracles import reference_acc_global, reference_predict_batch
+from oracles import (
+    reference_acc_global,
+    reference_accuracy_prototypes,
+    reference_accuracy_softmax,
+    reference_predict_batch,
+)
 
 
 def identity_shared(dim: int) -> LayerParams:
@@ -181,9 +186,9 @@ class TestALocMemo:
         for name in ("accuracy_prototypes", "accuracy_softmax"):
             original = getattr(metrics, name)
 
-            def counting(*args, _original=original):
+            def counting(*args, _original=original, **kwargs):
                 seen.append(args[-1])
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(metrics, name, counting)
         return seen
@@ -263,6 +268,82 @@ class TestALocMemo:
         assert again == first
         assert self.scored(computed, data[0], data[1], softmax_data[2])
 
+    @pytest.fixture
+    def embedded(self, monkeypatch):
+        """(shared, inputs) of each ``metrics.embed`` call, in order."""
+        seen = []
+
+        def counting(shared, x, _original=metrics.embed):
+            seen.append((shared, x))
+            return _original(shared, x)
+
+        monkeypatch.setattr(metrics, "embed", counting)
+        return seen
+
+    def test_replaced_store_vector_rescores_the_held_embedding(self, computed, embedded):
+        models, data = self.prototype_clients()
+        memo = {}
+        acc_local(models, data, memo=memo)
+        assert len(embedded) == 3
+        computed.clear()
+        shared, store = models[2]
+        models[2] = (shared, {**store, 1: np.array([2.0, 0.0])})
+        acc_local(models, data, memo=memo)
+        assert self.scored(computed, data[2])
+        assert len(embedded) == 3
+
+    def test_replaced_shared_layer_or_test_set_embeds_again(self, embedded):
+        models, data = self.prototype_clients()
+        memo = {}
+        acc_local(models, data, memo=memo)
+        embedded.clear()
+        models[0] = (models[0][0].copy(), models[0][1])
+        data[1] = LabeledSet(data[1].inputs.copy(), data[1].labels.copy())
+        acc_local(models, data, memo=memo)
+        assert len(embedded) == 2
+        assert embedded[0][0] is models[0][0] and embedded[0][1] is data[0].inputs
+        assert embedded[1][0] is models[1][0] and embedded[1][1] is data[1].inputs
+
+    def test_every_value_equals_a_memoless_one(self):
+        # Random replacements of store vectors, class sets, shared layers
+        # and test sets, in any mix, over many calls.
+        rng = np.random.default_rng(17)
+
+        def store():
+            classes = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+            return {int(c): rng.standard_normal(3) for c in classes}
+
+        def test_set():
+            rows = int(rng.integers(0, 90))
+            return labeled(rng.standard_normal((rows, 2)), rng.integers(0, 4, rows))
+
+        def shared():
+            return LayerParams(rng.standard_normal((2, 3)), rng.standard_normal(3))
+
+        models = [(shared(), store()) for _ in range(5)]
+        data = [labeled(rng.standard_normal((7, 2)), rng.integers(0, 4, 7))]  # never empty
+        data += [test_set() for _ in range(4)]
+        memo, memos = {}, [{} for _ in models]
+        for _ in range(40):
+            for i in range(len(models)):
+                layer, vectors = models[i]
+                change = rng.integers(6)
+                if change == 1:
+                    c = int(rng.choice(sorted(vectors)))
+                    vectors = {**vectors, c: rng.standard_normal(3)}
+                elif change == 2:
+                    vectors = store()
+                elif change == 3:
+                    layer = shared()
+                elif change == 4 and i > 0:
+                    data[i] = test_set()
+                models[i] = (layer, vectors)
+            assert acc_local(models, data, memo=memo) == acc_local(models, data)
+            for i in range(len(models)):
+                if len(data[i]):
+                    assert (acc_local(models[i:i + 1], data[i:i + 1], memo=memos[i])
+                            == acc_local(models[i:i + 1], data[i:i + 1]))
+
 
 def two_stage_timeline(rng):
     """Stage 1 holds classes {0,1}; stage 2 relabels the same two cluster
@@ -282,6 +363,35 @@ def two_stage_timeline(rng):
             StageTask(2, s2_train, s2_test, frozenset({2, 3})),
         ],
     )
+
+
+class TestHitCount:
+    """Counting hits gives the float that the mean of the hit array gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=300))
+    def test_count_form_equals_mean_form(self, rows):
+        # Each row lies on the prototype (or the one-hot logit) of its
+        # predicted class; a miss labels it with the next class.
+        predicted = np.array([p for p, _ in rows])
+        labels = np.where([hit for _, hit in rows], predicted, (predicted + 1) % 3)
+        data = labeled(np.eye(3)[predicted], labels)
+        store = store_with({c: np.eye(3)[c] for c in range(3)})
+        params = ModelParams(identity_shared(3), LayerParams(np.eye(3), np.zeros(3)))
+        shared = identity_shared(3)
+        assert (accuracy_prototypes(shared, store, data)
+                == reference_accuracy_prototypes(shared, store, data))
+        assert accuracy_softmax(params, data) == reference_accuracy_softmax(params, data)
+        assert accuracy_prototypes(shared, store, data) == np.mean(predicted == labels)
+
+    def test_empty_set_is_none(self):
+        empty = labeled(np.empty((0, 3)), [])
+        params = ModelParams(identity_shared(3), LayerParams(np.eye(3), np.zeros(3)))
+        store = store_with({0: [1.0, 0.0, 0.0]})
+        assert accuracy_prototypes(identity_shared(3), store, empty) is None
+        assert reference_accuracy_prototypes(identity_shared(3), store, empty) is None
+        assert accuracy_softmax(params, empty) is None
+        assert reference_accuracy_softmax(params, empty) is None
 
 
 class TestAccSel:
