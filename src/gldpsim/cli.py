@@ -136,9 +136,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def print_config(config: ExperimentConfig) -> str:
     """Canonical text form; ``parse_config`` of this text is a fixpoint."""
-    if config.weights.local_coeff == config.weights.global_coeff == 0.0:
-        # CE_ONLY has no key: it would print, and hash, as the default mix.
-        raise ConfigError("cross-entropy-only weights have no key; write algorithm = FedRep")
     return "".join(
         f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
         for key, value in _config_to_values(config).items()
@@ -279,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, inference_mode=args.inference)
 
         try:
-            seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.seed]
+            seeds = [config.seed] if args.seeds is None else [int(s) for s in args.seeds.split(",")]
         except ValueError as exc:
             raise ConfigError(f"invalid --seeds value {args.seeds!r}: {exc}") from exc
 

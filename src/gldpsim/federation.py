@@ -16,8 +16,8 @@ into the copy it makes on entry; all other arrays (parameters,
 prototypes, payloads, and the ``LayerParams``/``ModelParams`` holding
 them) are shared by reference. No function mutates a dict it was given:
 prototype stores are replaced by the new dict the folds return. State
-changes are field reassignments: the client and server states in
-:func:`run_stage`, the round index in :func:`run_round`.
+changes are field reassignments of the client and server states in
+:func:`run_stage`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .metrics import (
     forgetting,
 )
 from .model import (
-    CE_ONLY,
     LayerParams,
     LossWeights,
     ModelParams,
@@ -88,7 +87,6 @@ class ServerState:
     shared: LayerParams
     global_protos: dict[int, np.ndarray]
     head: LayerParams | None = None
-    round_index: int = 0
 
 
 @dataclass
@@ -251,6 +249,7 @@ def run_stage(
     server: ServerState,
     clients: dict[int, ClientState],
     selected: list[int],
+    round_index: int,
     stage_index: int,
     config: ExperimentConfig,
     message_log: list[RoundMessage] | None = None,
@@ -265,7 +264,6 @@ def run_stage(
     iterates clients in ascending id order. Returns the participants.
     """
     algorithm = config.algorithm
-    round_index = server.round_index
     full_model = algorithm not in PERSONALIZED_ALGORITHMS
     # One broadcast serves every client of the stage (arrays are shared).
     down_payload: dict = {
@@ -298,7 +296,7 @@ def run_stage(
         else:
             client.params = local_update(
                 start, stage, client.local_protos, server.global_protos,
-                config.opt, config.weights if algorithm == "GLDP" else CE_ONLY, rng,
+                config.opt, config.weights, rng,
             )
             up_payload = {"shared": client.params.shared}
         if algorithm == "GLDP":
@@ -364,12 +362,11 @@ def run_round(
     ``after_stage(stage_index, participants)`` runs after each stage's
     aggregation. Returns the selected clients.
     """
-    server.round_index = round_index
     selected = select_clients(
         config.plan.num_clients, config.clients_per_round, config.seed, round_index
     )
     for stage_index in range(1, config.plan.num_stages + 1):
-        participants = run_stage(server, clients, selected, stage_index, config, message_log)
+        participants = run_stage(server, clients, selected, round_index, stage_index, config, message_log)
         if after_stage is not None:
             after_stage(stage_index, participants)
     return selected

@@ -11,9 +11,10 @@ remembered class prototype and the current batch's class-mean embedding,
 and the global relation is a count-weighted MSE pulling batch prototypes
 toward the server's global ones.
 
-Both relation terms act on the class-mean embeddings, so only
-cross-entropy reaches the head. A training phase that steps the head alone
-forms only the head gradient and so never reaches the relation terms.
+Both relation terms act on the class-mean embeddings of classes that have
+a stored prototype. So only cross-entropy reaches the head, a head-only
+training phase never reaches the relation terms, and an update under empty
+prototype stores (every baseline's) is cross-entropy alone.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class LossWeights:
 
     ``relation_mix`` weighs the local (stage-memory) relation; its
     complement weighs the global alignment relation. A mix of 0 or 1
-    removes the global or the local term; removing both is ``CE_ONLY``.
+    removes the global or the local term; under empty stores neither acts.
     """
 
     relation_mix: float = 0.5
@@ -95,17 +96,6 @@ class LossWeights:
     @property
     def global_coeff(self) -> float:
         return 1.0 - self.relation_mix
-
-
-class _CrossEntropyOnly(LossWeights):
-    """Both relation terms removed, whatever the mix."""
-
-    local_coeff = 0.0
-    global_coeff = 0.0
-
-
-# Cross-entropy alone: the loss of the baseline updates.
-CE_ONLY = _CrossEntropyOnly()
 
 
 def init_params(input_dim: int, embedding_dim: int, num_classes: int, seed_key) -> ModelParams:
@@ -192,9 +182,6 @@ def loss_total(
     embedding, logits = forward(params, inputs)
     total = loss_ce(logits, labels)
     local_c, global_c = weights.local_coeff, weights.global_coeff
-    if local_c == 0.0 and global_c == 0.0:
-        return total
-
     batch_protos = compute_prototypes(embedding, labels)
     if local_c > 0.0:
         overlap = [c for c in sorted(batch_protos) if c in old_protos]
@@ -247,7 +234,8 @@ def grad_total(
     d_embedding = d_logits @ params.head.weight.T
 
     local_c, global_c = weights.local_coeff, weights.global_coeff
-    if local_c > 0.0 or global_c > 0.0:
+    # A relation term acts only on classes that have a stored prototype.
+    if (local_c > 0.0 and old_protos) or (global_c > 0.0 and global_protos):
         batch_classes = [int(c) for c in np.unique(labels)]
         masks = {c: labels == c for c in batch_classes}
         protos = {c: embedding[masks[c]].mean(axis=0) for c in batch_classes}
@@ -363,4 +351,4 @@ def joint_update(
     the received model ``params`` (FedProx).
     """
     phases = ((("shared", "head"), opt.shared_epochs + opt.head_epochs),)
-    return _train(params, stage, phases, {}, {}, opt, CE_ONLY, rng, prox_coeff)
+    return _train(params, stage, phases, {}, {}, opt, LossWeights(), rng, prox_coeff)

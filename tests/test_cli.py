@@ -12,7 +12,7 @@ from gldpsim.cli import _CONFIG_KEYS, ablation_variants, main, parse_config, pri
 from gldpsim.datagen import DatasetSpec, PartitionPlan
 from gldpsim.errors import ConfigError
 from gldpsim.federation import ALGORITHMS, INFERENCE_MODES, ExperimentConfig
-from gldpsim.model import CE_ONLY, LossWeights, OptimizerConfig
+from gldpsim.model import LossWeights, OptimizerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -357,16 +357,6 @@ class TestRun:
         with pytest.raises(OSError):
             run([("fast", fast_config())], [0], blocker / "nested")
 
-    def test_ce_only_weights_are_config_error(self, tmp_path):
-        # No key removes both relation terms, so CE_ONLY would print, and
-        # hash, as the default mix.
-        config = replace(fast_config(), weights=CE_ONLY)
-        with pytest.raises(ConfigError, match="algorithm = FedRep"):
-            print_config(config)
-        with pytest.raises(ConfigError, match="algorithm = FedRep"):
-            run([("bare", config)], [0], tmp_path / "out")
-        assert not (tmp_path / "out").exists()
-
     def test_ablation_variants_cover_table_rows(self):
         variants = dict(ablation_variants(fast_config()))
         assert set(variants) == {"full", "no_local_relation", "no_global_relation", "no_relations"}
@@ -445,7 +435,8 @@ class TestMainEntry:
     def test_repeated_seed_is_config_error(self, tmp_path, capsys):
         path = write_fast_config(tmp_path)
         for seeds, message in (("0,1,0", "seeds must be distinct"),
-                               ("-1", "seed must be a non-negative integer, got -1")):
+                               ("-1", "seed must be a non-negative integer, got -1"),
+                               ("", "invalid --seeds value ''")):
             code = main(["--config", str(path), f"--seeds={seeds}", "--out", str(tmp_path / "out")])
             assert code == 2
             assert message in capsys.readouterr().err

@@ -30,7 +30,6 @@ from gldpsim.federation import (
 )
 from gldpsim.metrics import A_GLOBAL, A_LOCAL, A_SELECTED, acc_local, acc_local_softmax
 from gldpsim.model import (
-    CE_ONLY,
     LayerParams,
     LossWeights,
     OptimizerConfig,
@@ -156,11 +155,10 @@ class TestRunStage:
     def test_non_finite_update_is_protocol_error(self, algorithm):
         config = tiny_config(algorithm=algorithm, opt=replace(tiny_config().opt, step_size=1e200))
         server, clients = initialize_experiment(config)
-        server.round_index = 1
         with np.errstate(all="ignore"), pytest.raises(
             ProtocolError, match=r"^round 1 stage 1: client 0 update is not finite$"
         ):
-            run_stage(server, clients, [0, 1, 2], 1, config)
+            run_stage(server, clients, [0, 1, 2], 1, 1, config)
 
     def test_zero_step_size_is_fixed_point_for_shared(self):
         config = tiny_config(
@@ -168,30 +166,26 @@ class TestRunStage:
         )
         server, clients = initialize_experiment(config)
         before = server.shared.copy()
-        server.round_index = 1
-        run_stage(server, clients, [0, 1, 2], 1, config)
+        run_stage(server, clients, [0, 1, 2], 1, 1, config)
         assert np.array_equal(server.shared.weight, before.weight)
         assert np.array_equal(server.shared.bias, before.bias)
 
     def test_single_client_aggregation_is_identity(self):
         config = tiny_config()
         server, clients = initialize_experiment(config)
-        server.round_index = 1
-        run_stage(server, clients, [2], 1, config)
+        run_stage(server, clients, [2], 1, 1, config)
         assert np.array_equal(server.shared.weight, clients[2].params.shared.weight)
 
     def test_two_client_mean_matches_hand_trace(self):
         config = tiny_config()
         server, clients = initialize_experiment(config)
-        server.round_index = 1
         # capture each client's post-update shared layer via single-client runs
         single = {}
         for cid in (0, 1):
             s2, c2 = initialize_experiment(config)
-            s2.round_index = 1
-            run_stage(s2, c2, [cid], 1, config)
+            run_stage(s2, c2, [cid], 1, 1, config)
             single[cid] = c2[cid].params.shared
-        run_stage(server, clients, [0, 1], 1, config)
+        run_stage(server, clients, [0, 1], 1, 1, config)
         want_w = (single[0].weight + single[1].weight) / 2
         assert np.allclose(server.shared.weight, want_w, atol=1e-15)
 
@@ -207,10 +201,9 @@ class TestRunStage:
         def run(in_order):
             config = tiny_config(algorithm=algorithm)
             server, clients = initialize_experiment(config)
-            server.round_index = 1
             messages = []
             for stage_index in (1, 2):
-                run_stage(server, clients, in_order, stage_index, config, messages)
+                run_stage(server, clients, in_order, 1, stage_index, config, messages)
             uploads = sorted(
                 (reference_message_dict(m) for m in messages if m.direction == "client_to_server"),
                 key=lambda m: (m["stage"], m["sender"]),
@@ -234,9 +227,8 @@ class TestRunStage:
     def test_stage_classes_gain_local_prototypes(self):
         config = tiny_config()
         server, clients = initialize_experiment(config)
-        server.round_index = 1
         for stage_index in (1, 2):
-            run_stage(server, clients, [0, 1, 2], stage_index, config)
+            run_stage(server, clients, [0, 1, 2], 1, stage_index, config)
             for cid in (0, 1, 2):
                 client = clients[cid]
                 seen = set()
@@ -262,10 +254,9 @@ class TestRunStage:
             assert record.getMessage().endswith("(client:stage): " + " ".join(empty))
 
             caplog.clear()
-            server.round_index = 1
             skipped = 0
             for stage_index in range(1, config.plan.num_stages + 1):
-                participants = run_stage(server, clients, sorted(clients), stage_index, config)
+                participants = run_stage(server, clients, sorted(clients), 1, stage_index, config)
                 skipped += len(clients) - len(participants)
             assert skipped == len(empty)
             assert caplog.records == []
@@ -328,7 +319,7 @@ class TestBaselineUpdate:
         updated = joint_update(broadcast, stage, opt, np.random.default_rng(4), prox_coeff=0.0)
         expect = broadcast.copy()
         for _ in range(2):  # shared_epochs + head_epochs joint passes
-            grads = grad_total(expect, stage.train.inputs, stage.train.labels, {}, {}, CE_ONLY)
+            grads = grad_total(expect, stage.train.inputs, stage.train.labels, {}, {}, LossWeights())
             expect.shared.weight -= 0.05 * grads.shared.weight
             expect.shared.bias -= 0.05 * grads.shared.bias
             expect.head.weight -= 0.05 * grads.head.weight
@@ -336,12 +327,24 @@ class TestBaselineUpdate:
         assert np.allclose(updated.shared.weight, expect.shared.weight, atol=1e-12)
         assert np.allclose(updated.head.weight, expect.head.weight, atol=1e-12)
 
-    def test_fedrep_equals_gldp_with_both_relations_off(self):
-        # FedRep trains from (broadcast shared, own head) exactly like GLDP.
-        fedrep = run_rounds(tiny_config(algorithm="FedRep"))
-        gldp = run_rounds(tiny_config(weights=CE_ONLY))
-        assert fedrep[0].head is None and len(gldp[0].global_protos) > 0
-        assert_same_models(fedrep, gldp)
+    def test_fedrep_equals_gldp_until_a_store_fills(self):
+        # GLDP's relation terms act only on stored prototypes, and both
+        # stores are empty through round 1's first stage: until then GLDP
+        # trains from (broadcast shared, own head) exactly like FedRep.
+        configs = [tiny_config(algorithm=a) for a in ("GLDP", "FedRep")]
+        runs = [initialize_experiment(config) for config in configs]
+        selected = select_clients(4, 3, seed=0, round_index=1)
+
+        def stage(stage_index):
+            for config, (server, clients) in zip(configs, runs):
+                run_stage(server, clients, selected, 1, stage_index, config)
+
+        stage(1)
+        assert_same_models(*runs)
+        (gldp, _), (fedrep, _) = runs
+        assert gldp.global_protos and not fedrep.global_protos
+        stage(2)
+        assert not np.array_equal(gldp.shared.weight, fedrep.shared.weight)
 
 
 @st.composite
@@ -492,15 +495,14 @@ class TestRunExperiment:
         ]
 
     def test_relation_ablation_shares_protocol_plumbing(self):
-        # Same seed, same data: a run with relation losses off differs from
-        # a mix=0 run only through the loss terms, so both must produce the
-        # same schedule of rows (metric names, scopes, rounds).
-        lam0 = run_experiment(
-            tiny_config(weights=LossWeights(relation_mix=0.0))
-        )
-        bare = run_experiment(tiny_config(weights=CE_ONLY))
+        # Same seed, same data: a mix=1 run (local relation only) differs
+        # from a mix=0 run (global relation only) only through the loss
+        # terms, so both must produce the same schedule of rows (metric
+        # names, scopes, rounds).
+        lam0 = run_experiment(tiny_config(weights=LossWeights(relation_mix=0.0)))
+        lam1 = run_experiment(tiny_config(weights=LossWeights(relation_mix=1.0)))
         assert [(r.round_index, r.stage_index, r.metric, r.scope) for r in lam0.rows] == [
-            (r.round_index, r.stage_index, r.metric, r.scope) for r in bare.rows
+            (r.round_index, r.stage_index, r.metric, r.scope) for r in lam1.rows
         ]
 
     def test_head_persists_across_rounds_for_gldp(self):

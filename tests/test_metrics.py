@@ -18,8 +18,8 @@ from gldpsim.metrics import (
     forgetting,
 )
 from gldpsim.model import (
-    CE_ONLY,
     LayerParams,
+    LossWeights,
     ModelParams,
     OptimizerConfig,
     embed,
@@ -423,7 +423,7 @@ class TestAccSel:
         opt = OptimizerConfig(step_size=0.08, shared_epochs=2, head_epochs=4, weight_decay=0.0)
         for _ in range(6):
             params = local_update(
-                params, timeline.stages[1], {}, {}, opt, CE_ONLY, np.random.default_rng(5)
+                params, timeline.stages[1], {}, {}, opt, LossWeights(), np.random.default_rng(5)
             )
         stage2_acc = acc_sel_softmax(params, ClientTimeline(0, [timeline.stages[1]]), 1)
         assert stage2_acc > 0.9  # it did learn the new stage

@@ -8,7 +8,6 @@ from gldpsim import model
 from gldpsim.datagen import LabeledSet, StageTask
 from gldpsim.errors import ConfigError, DataError
 from gldpsim.model import (
-    CE_ONLY,
     LayerParams,
     LossWeights,
     ModelParams,
@@ -208,7 +207,7 @@ class TestGradTotal:
         rng = np.random.default_rng(8)
         params, inputs, labels, _, glob = random_configuration(rng)
         with_relations = grad_total(params, inputs, labels, {}, glob, LossWeights(relation_mix=1.0))
-        plain = grad_total(params, inputs, labels, {}, {}, CE_ONLY)
+        plain = grad_total(params, inputs, labels, {}, {}, LossWeights())
         assert np.array_equal(with_relations.shared.weight, plain.shared.weight)
         assert np.array_equal(with_relations.head.weight, plain.head.weight)
 
@@ -231,24 +230,25 @@ class TestGradTotal:
 
     def test_head_gradient_is_cross_entropy_only(self):
         # Only cross-entropy reaches the head, so a head-only phase never
-        # reaches the relation terms.
+        # reaches the relation terms. Under empty stores no relation term acts.
         rng = np.random.default_rng(516)
         for weights in (LossWeights(), LossWeights(0.3, 0.01), LossWeights(1.0, 0.5)):
             for _ in range(20):
                 case = random_configuration(rng)
                 full = grad_total(*case, weights)
-                plain = grad_total(*case, CE_ONLY)
+                plain = grad_total(*case[:3], {}, {}, LossWeights())
                 assert not np.array_equal(full.shared.weight, plain.shared.weight)
                 assert full.head.weight.tobytes() == plain.head.weight.tobytes()
                 assert full.head.bias.tobytes() == plain.head.bias.tobytes()
 
     def test_layer_subset_is_bytes_of_full_gradient(self):
         # Skipping a frozen layer's backward pass leaves the other layer's
-        # gradient bit-identical.
+        # gradient bit-identical, with the relation terms acting or not.
         rng = np.random.default_rng(517)
-        for weights in (LossWeights(), CE_ONLY):
+        weights = LossWeights()
+        for with_protos in (True, False):
             for _ in range(20):
-                case = random_configuration(rng)
+                case = random_configuration(rng, with_protos)
                 full = grad_total(*case, weights)
                 head_only = grad_total(*case, weights, layers=("head",))
                 shared_only = grad_total(*case, weights, layers=("shared",))
@@ -430,7 +430,7 @@ class TestFrozenLayerGradients:
         def updates():
             return [
                 local_update(params, stage, old, glob, opt, LossWeights(), np.random.default_rng(3)),
-                local_update(params, stage, {}, {}, opt, CE_ONLY, np.random.default_rng(4)),
+                local_update(params, stage, {}, {}, opt, LossWeights(), np.random.default_rng(4)),
                 joint_update(params, stage, opt, np.random.default_rng(5)),
                 joint_update(params, stage, opt, np.random.default_rng(6), prox_coeff=0.1),
             ]
