@@ -92,7 +92,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     key_lines: dict[str, int] = {}
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc

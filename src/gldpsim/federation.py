@@ -372,92 +372,67 @@ def run_round(
     return selected
 
 
-def _client_store(
-    client: ClientState, server: ServerState, config: ExperimentConfig
-) -> dict[int, np.ndarray]:
-    """The store a GLDP client predicts with; its scope is every class it holds."""
-    return inference_store(
-        client.local_protos, server.global_protos, config.inference_mode,
-        scope=client.timeline.classes,
-    )
-
-
-def _client_sel_accuracy(
-    client: ClientState, server: ServerState, config: ExperimentConfig, stage_index: int
-) -> float | None:
-    if config.algorithm == "GLDP":
-        store = _client_store(client, server, config)
-        return acc_sel_prototypes(client.params.shared, store, client.timeline, stage_index)
-    return acc_sel_softmax(client.params, client.timeline, stage_index)
-
-
-def _log_round_metrics(
-    mlog: MetricsLog,
-    server: ServerState,
-    clients: dict[int, ClientState],
-    config: ExperimentConfig,
-    round_index: int,
-    a_loc_memo: dict,
-) -> None:
-    algorithm = config.algorithm
-    stage_count = config.plan.num_stages
-    order = sorted(clients)
-    test_sets = [clients[c].timeline.test_union() for c in order]
-
-    if algorithm == "GLDP":
-        a_glo = acc_global(server.shared, server.global_protos, test_sets)
-        models = [(clients[c].params.shared, _client_store(clients[c], server, config)) for c in order]
-        a_loc = acc_local(models, test_sets, memo=a_loc_memo)
-    else:
-        if algorithm in PERSONALIZED_ALGORITHMS:  # FedRep: each client's own head
-            global_models = [ModelParams(server.shared, clients[c].params.head) for c in order]
-        else:
-            global_models = [ModelParams(server.shared, server.head) for _ in order]
-        a_glo = acc_global_softmax(global_models, test_sets)
-        a_loc = acc_local_softmax([clients[c].params for c in order], test_sets, memo=a_loc_memo)
-
-    mlog.add(round_index, stage_count, algorithm, A_GLOBAL, "ALL", a_glo)
-    mlog.add(round_index, stage_count, algorithm, A_LOCAL, "ALL", a_loc)
-
-
 def run_experiment(config: ExperimentConfig) -> MetricsLog:
-    """Run the full protocol and return the metrics log.
+    """Run the full protocol and return the metrics log; deterministic in the config.
 
-    Fully deterministic in the config.
+    The one place a run is evaluated. Each client's test union is built once:
+    a timeline never changes within a run.
     """
     server, clients = initialize_experiment(config)
     mlog = MetricsLog()
     algorithm = config.algorithm
     stage_count = config.plan.num_stages
+    order = sorted(clients)
+    test_sets = [clients[c].timeline.test_union() for c in order]
     a_loc_memo: dict = {}  # this run's A_loc values; only selected clients retrain
+
+    def store(client: ClientState) -> dict[int, np.ndarray]:
+        """The store a GLDP client predicts with; its scope is every class it holds."""
+        return inference_store(
+            client.local_protos, server.global_protos, config.inference_mode,
+            scope=client.timeline.classes,
+        )
+
+    def log(round_index: int, stage_index: int, metric: str, values: dict) -> None:
+        """One row per client, then the ALL mean when there is any."""
+        for cid, value in values.items():
+            mlog.add(round_index, stage_index, algorithm, metric, cid, value)
+        if values:
+            mlog.add(round_index, stage_index, algorithm, metric, "ALL", np.mean(list(values.values())))
+
     for round_index in range(1, config.rounds + 1):
         sel_history: dict[int, list[float]] = defaultdict(list)
 
         def log_sel(stage_index: int, participants: list[int]) -> None:
-            stage_values = []
+            values = {}
             for cid in participants:
-                value = _client_sel_accuracy(clients[cid], server, config, stage_index)
-                if value is None:
-                    continue
-                mlog.add(round_index, stage_index, algorithm, A_SELECTED, cid, value)
-                sel_history[cid].append(value)
-                stage_values.append(value)
-            if stage_values:
-                mlog.add(
-                    round_index, stage_index, algorithm, A_SELECTED, "ALL",
-                    float(np.mean(stage_values)),
-                )
+                client = clients[cid]
+                if algorithm == "GLDP":
+                    value = acc_sel_prototypes(
+                        client.params.shared, store(client), client.timeline, stage_index
+                    )
+                else:
+                    value = acc_sel_softmax(client.params, client.timeline, stage_index)
+                if value is not None:
+                    values[cid] = value
+                    sel_history[cid].append(value)
+            log(round_index, stage_index, A_SELECTED, values)
 
         selected = run_round(server, clients, config, round_index, after_stage=log_sel)
-        drops = []
-        for cid in selected:
-            if sel_history[cid]:
-                drop = forgetting(sel_history[cid])
-                mlog.add(round_index, stage_count, algorithm, FORGETTING, cid, drop)
-                drops.append(drop)
-        if drops:
-            mlog.add(round_index, stage_count, algorithm, FORGETTING, "ALL", float(np.mean(drops)))
-        _log_round_metrics(mlog, server, clients, config, round_index, a_loc_memo)
+        drops = {c: forgetting(sel_history[c]) for c in selected if sel_history[c]}
+        log(round_index, stage_count, FORGETTING, drops)
+        if algorithm == "GLDP":
+            a_glo = acc_global(server.shared, server.global_protos, test_sets)
+            models = [(clients[c].params.shared, store(clients[c])) for c in order]
+            a_loc = acc_local(models, test_sets, memo=a_loc_memo)
+        else:
+            # FedRep's server holds no head: each client's own stands in.
+            global_models = [ModelParams(server.shared, server.head or clients[c].params.head)
+                             for c in order]
+            a_glo = acc_global_softmax(global_models, test_sets)
+            a_loc = acc_local_softmax([clients[c].params for c in order], test_sets, memo=a_loc_memo)
+        mlog.add(round_index, stage_count, algorithm, A_GLOBAL, "ALL", a_glo)
+        mlog.add(round_index, stage_count, algorithm, A_LOCAL, "ALL", a_loc)
     return mlog
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -23,8 +24,30 @@ from gldpsim.datagen import (
     log,
 )
 from gldpsim.errors import ConfigError, DataError, ProtocolError
-from gldpsim.model import LayerParams, embed, forward, init_params, loss_total
-from gldpsim.prototypes import predict_batch
+from gldpsim.federation import (
+    PERSONALIZED_ALGORITHMS,
+    ClientState,
+    ExperimentConfig,
+    ServerState,
+    initialize_experiment,
+    run_round,
+)
+from gldpsim.metrics import (
+    A_GLOBAL,
+    A_LOCAL,
+    A_SELECTED,
+    FORGETTING,
+    MetricsLog,
+    acc_global,
+    acc_global_softmax,
+    acc_local,
+    acc_local_softmax,
+    acc_sel_prototypes,
+    acc_sel_softmax,
+    forgetting,
+)
+from gldpsim.model import LayerParams, ModelParams, embed, forward, init_params, loss_total
+from gldpsim.prototypes import inference_store, predict_batch
 
 
 def finite_difference_grad(params, inputs, labels, old, glob, weights, eps=1e-5):
@@ -249,3 +272,96 @@ def reference_partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int
             "use fewer clients or stages, or more samples"
         )
     return timelines
+
+
+# The evaluation as it was while four pieces shared it (run_experiment, its
+# per-round closure, _client_sel_accuracy and _log_round_metrics), verbatim
+# but for the names: the single-place evaluation must log the same rows.
+def _reference_client_store(
+    client: ClientState, server: ServerState, config: ExperimentConfig
+) -> dict[int, np.ndarray]:
+    """The store a GLDP client predicts with; its scope is every class it holds."""
+    return inference_store(
+        client.local_protos, server.global_protos, config.inference_mode,
+        scope=client.timeline.classes,
+    )
+
+
+def _reference_client_sel_accuracy(
+    client: ClientState, server: ServerState, config: ExperimentConfig, stage_index: int
+) -> float | None:
+    if config.algorithm == "GLDP":
+        store = _reference_client_store(client, server, config)
+        return acc_sel_prototypes(client.params.shared, store, client.timeline, stage_index)
+    return acc_sel_softmax(client.params, client.timeline, stage_index)
+
+
+def _reference_log_round_metrics(
+    mlog: MetricsLog,
+    server: ServerState,
+    clients: dict[int, ClientState],
+    config: ExperimentConfig,
+    round_index: int,
+    a_loc_memo: dict,
+) -> None:
+    algorithm = config.algorithm
+    stage_count = config.plan.num_stages
+    order = sorted(clients)
+    test_sets = [clients[c].timeline.test_union() for c in order]
+
+    if algorithm == "GLDP":
+        a_glo = acc_global(server.shared, server.global_protos, test_sets)
+        models = [(clients[c].params.shared, _reference_client_store(clients[c], server, config))
+                  for c in order]
+        a_loc = acc_local(models, test_sets, memo=a_loc_memo)
+    else:
+        if algorithm in PERSONALIZED_ALGORITHMS:  # FedRep: each client's own head
+            global_models = [ModelParams(server.shared, clients[c].params.head) for c in order]
+        else:
+            global_models = [ModelParams(server.shared, server.head) for _ in order]
+        a_glo = acc_global_softmax(global_models, test_sets)
+        a_loc = acc_local_softmax([clients[c].params for c in order], test_sets, memo=a_loc_memo)
+
+    mlog.add(round_index, stage_count, algorithm, A_GLOBAL, "ALL", a_glo)
+    mlog.add(round_index, stage_count, algorithm, A_LOCAL, "ALL", a_loc)
+
+
+def reference_run_experiment(config: ExperimentConfig) -> MetricsLog:
+    """Run the full protocol and return the metrics log.
+
+    Fully deterministic in the config.
+    """
+    server, clients = initialize_experiment(config)
+    mlog = MetricsLog()
+    algorithm = config.algorithm
+    stage_count = config.plan.num_stages
+    a_loc_memo: dict = {}  # this run's A_loc values; only selected clients retrain
+    for round_index in range(1, config.rounds + 1):
+        sel_history: dict[int, list[float]] = defaultdict(list)
+
+        def log_sel(stage_index: int, participants: list[int]) -> None:
+            stage_values = []
+            for cid in participants:
+                value = _reference_client_sel_accuracy(clients[cid], server, config, stage_index)
+                if value is None:
+                    continue
+                mlog.add(round_index, stage_index, algorithm, A_SELECTED, cid, value)
+                sel_history[cid].append(value)
+                stage_values.append(value)
+            if stage_values:
+                mlog.add(
+                    round_index, stage_index, algorithm, A_SELECTED, "ALL",
+                    float(np.mean(stage_values)),
+                )
+
+        selected = run_round(server, clients, config, round_index, after_stage=log_sel)
+        drops = []
+        for cid in selected:
+            if sel_history[cid]:
+                drop = forgetting(sel_history[cid])
+                mlog.add(round_index, stage_count, algorithm, FORGETTING, cid, drop)
+                drops.append(drop)
+        if drops:
+            mlog.add(round_index, stage_count, algorithm, FORGETTING, "ALL", float(np.mean(drops)))
+        _reference_log_round_metrics(mlog, server, clients, config, round_index, a_loc_memo)
+    return mlog

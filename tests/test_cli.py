@@ -299,6 +299,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"utf16\.cfg: not a UTF-8 text file"):
             parse_config(path)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Some editors save UTF-8 with a leading BOM; it is not part of the first key.
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + desk.read_bytes())
+        assert parse_config(path) == parse_config(desk)
+        assert print_config(parse_config(path)) == print_config(parse_config(desk))
+
     def test_parse_print_fixpoint_on_desk_config(self, tmp_path):
         path = tmp_path / "desk.cfg"
         path.write_text(

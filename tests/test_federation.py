@@ -39,7 +39,12 @@ from gldpsim.model import (
 )
 from gldpsim.prototypes import inference_store
 
-from oracles import reconstruct_input, reference_message_dict, reference_message_line
+from oracles import (
+    reconstruct_input,
+    reference_message_dict,
+    reference_message_line,
+    reference_run_experiment,
+)
 from trend_runs import cached_run, select
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
@@ -480,6 +485,31 @@ class TestRunExperiment:
             else:
                 recomputed.append(acc_local_softmax([clients[c].params for c in order], test_sets))
         assert logged == recomputed
+
+    @pytest.mark.parametrize(
+        "algorithm, mode",
+        [("GLDP", "lp"), ("GLDP", "gp"), ("FedAvg", "lp"), ("FedRep", "lp"), ("FedProx", "lp")],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_the_four_piece_evaluation(self, algorithm, mode, data):
+        # Every logged row, in order: A_sel per participant and ALL,
+        # forgetting per selected client and ALL, A_glo (FedRep's with each
+        # client's own head) and A_loc; a run that fails must fail alike.
+        drawn = data.draw(tiny_configs())
+        config = partial_participation(replace(drawn, algorithm=algorithm, inference_mode=mode))
+
+        def rows(run):
+            try:
+                mlog = run(config)
+            except SimulationError as exc:
+                return type(exc), str(exc)
+            return [(r.round_index, r.stage_index, r.algorithm, r.metric, r.scope, r.value)
+                    for r in mlog.rows]
+
+        logged = rows(run_experiment)
+        event("ran" if isinstance(logged, list) else f"raised {logged[0].__name__}")
+        assert logged == rows(reference_run_experiment)
 
     def test_metrics_rows_present_and_in_range(self):
         mlog = run_experiment(tiny_config())
