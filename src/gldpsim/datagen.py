@@ -184,11 +184,13 @@ def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     """
     center_rng = np.random.default_rng([seed, _TAG_CENTERS])
     centers = center_rng.standard_normal((spec.num_classes, spec.input_dim))
-    centers *= spec.class_center_scale
-    gaps = centers[:, None, :] - centers[None, :, :]
-    distances = np.sqrt((gaps**2).sum(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge scale overflows: rejected below
+        centers *= spec.class_center_scale
+        gaps = centers[:, None, :] - centers[None, :, :]
+        distances = np.sqrt((gaps**2).sum(axis=-1))
+    overflow = not np.isfinite(distances).all()  # inf, or NaN from inf - inf
     np.fill_diagonal(distances, np.inf)
-    if not distances.min() > 0.0:  # NaN when a huge center scale overflows
+    if overflow or not distances.min() > 0.0:
         raise DataError("class centers coincide or overflow")
 
     sample_rng = np.random.default_rng([seed, _TAG_SAMPLES])

@@ -126,9 +126,9 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    exps = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    exps /= np.add.reduce(exps, axis=-1, keepdims=True)
+    return exps
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -228,7 +228,7 @@ def grad_total(
 
     head = None
     if "head" in layers:
-        head = LayerParams(embedding.T @ d_logits, d_logits.sum(axis=0))
+        head = LayerParams(embedding.T @ d_logits, np.add.reduce(d_logits, axis=0))
     if "shared" not in layers:
         return ModelParams(shared=None, head=head)
     d_embedding = d_logits @ params.head.weight.T
@@ -236,9 +236,11 @@ def grad_total(
     local_c, global_c = weights.local_coeff, weights.global_coeff
     # A relation term acts only on classes that have a stored prototype.
     if (local_c > 0.0 and old_protos) or (global_c > 0.0 and global_protos):
-        batch_classes = [int(c) for c in np.unique(labels)]
+        batch_classes = sorted(set(labels.tolist()))
         masks = {c: labels == c for c in batch_classes}
-        protos = {c: embedding[masks[c]].mean(axis=0) for c in batch_classes}
+        counts = {c: np.count_nonzero(masks[c]) for c in batch_classes}
+        # add-reduce over count is what ndarray.mean computes, bit for bit
+        protos = {c: np.add.reduce(embedding[masks[c]], axis=0) / counts[c] for c in batch_classes}
 
         if local_c > 0.0:
             overlap = [c for c in batch_classes if c in old_protos]
@@ -247,7 +249,7 @@ def grad_total(
                 s_new = softmax(protos[c] / t)
                 s_old = softmax(np.asarray(old_protos[c], dtype=np.float64) / t)
                 d_proto = local_c * (s_new - s_old) / (t * len(overlap))
-                d_embedding[masks[c]] += d_proto / masks[c].sum()
+                d_embedding[masks[c]] += d_proto / counts[c]
         if global_c > 0.0:
             dim = embedding.shape[1]
             for c in batch_classes:
@@ -258,12 +260,15 @@ def grad_total(
                 d_embedding[masks[c]] += d_proto
 
     d_pre = d_embedding * (pre_act > 0.0)
-    return ModelParams(shared=LayerParams(inputs.T @ d_pre, d_pre.sum(axis=0)), head=head)
+    return ModelParams(shared=LayerParams(inputs.T @ d_pre, np.add.reduce(d_pre, axis=0)), head=head)
 
 
 def _sgd_step(layer: LayerParams, grad: LayerParams, step_size: float, weight_decay: float) -> None:
-    layer.weight -= step_size * (grad.weight + weight_decay * layer.weight)
-    layer.bias -= step_size * (grad.bias + weight_decay * layer.bias)
+    # In place in ``grad``. + and * commute, so the bits are param -= step_size * (grad + wd * param)
+    for param, step in ((layer.weight, grad.weight), (layer.bias, grad.bias)):
+        step += weight_decay * param
+        step *= step_size
+        param -= step
 
 
 def _train(
@@ -287,10 +292,11 @@ def _train(
     term). Only cross-entropy reaches the head, so a head-only phase forms
     the head gradient alone and never reaches the relation terms.
 
-    The only writer of arrays in the package, and only into the copy of
-    ``params`` made on entry. Every other array is shared by reference, no
-    function mutates a dict it was given, and state changes are field
-    reassignments in ``run_stage`` (see :mod:`gldpsim.federation`).
+    Writes only into arrays it owns: its copy of ``params`` and each step's
+    gradients, which the proximal pull and the SGD step update in place.
+    Every other array is shared by reference, no function mutates a dict
+    it was given, and state changes are field reassignments in
+    ``run_stage`` (see :mod:`gldpsim.federation`).
     """
     if len(stage.train) == 0:
         raise DataError(f"stage {stage.stage_index} training set is empty")

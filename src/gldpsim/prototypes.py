@@ -31,19 +31,21 @@ def _blend(old: np.ndarray, fresh: np.ndarray, momentum: float) -> np.ndarray:
 def compute(embeddings: np.ndarray, labels: np.ndarray) -> dict[int, np.ndarray]:
     """Per-class arithmetic mean of embedding vectors.
 
-    Empty input gives an empty map.
+    Each mean is an add-reduce over the count, which is what
+    ``ndarray.mean`` computes, bit for bit. Empty input gives an empty map.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     result: dict[int, np.ndarray] = {}
-    for c in np.unique(labels):
-        result[int(c)] = embeddings[labels == c].mean(axis=0)
+    for c in sorted(set(labels.tolist())):
+        mask = labels == c
+        result[c] = np.add.reduce(embeddings[mask], axis=0) / np.count_nonzero(mask)
     return result
 
 
 def compute_counts(labels: np.ndarray) -> dict[int, int]:
-    values, counts = np.unique(np.asarray(labels), return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    """Rows per class present, keyed in ascending class order."""
+    return {c: n for c, n in enumerate(np.bincount(np.asarray(labels)).tolist()) if n}
 
 
 def update_local(

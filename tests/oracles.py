@@ -111,6 +111,85 @@ def reference_predict_batch(embeddings, store):
     return np.array(classes, dtype=np.int64)[distances.argmin(axis=1)]
 
 
+def reference_softmax(logits):
+    """``model.softmax`` before its in-place rewrite."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+def reference_grad_total(params, inputs, labels, old_protos, global_protos, weights,
+                         layers=("shared", "head")):
+    """``model.grad_total`` with ``np.unique`` classes and ``ndarray.mean``/``sum``."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    batch = len(labels)
+
+    pre_act = inputs @ params.shared.weight + params.shared.bias
+    embedding = np.maximum(pre_act, 0.0)
+    logits = embedding @ params.head.weight + params.head.bias
+
+    d_logits = reference_softmax(logits)
+    d_logits[np.arange(batch), labels] -= 1.0
+    d_logits /= batch
+
+    head = None
+    if "head" in layers:
+        head = LayerParams(embedding.T @ d_logits, d_logits.sum(axis=0))
+    if "shared" not in layers:
+        return ModelParams(shared=None, head=head)
+    d_embedding = d_logits @ params.head.weight.T
+
+    local_c, global_c = weights.local_coeff, weights.global_coeff
+    # A relation term acts only on classes that have a stored prototype.
+    if (local_c > 0.0 and old_protos) or (global_c > 0.0 and global_protos):
+        batch_classes = [int(c) for c in np.unique(labels)]
+        masks = {c: labels == c for c in batch_classes}
+        protos = {c: embedding[masks[c]].mean(axis=0) for c in batch_classes}
+
+        if local_c > 0.0:
+            overlap = [c for c in batch_classes if c in old_protos]
+            for c in overlap:
+                t = weights.temperature
+                s_new = reference_softmax(protos[c] / t)
+                s_old = reference_softmax(np.asarray(old_protos[c], dtype=np.float64) / t)
+                d_proto = local_c * (s_new - s_old) / (t * len(overlap))
+                d_embedding[masks[c]] += d_proto / masks[c].sum()
+        if global_c > 0.0:
+            dim = embedding.shape[1]
+            for c in batch_classes:
+                if c not in global_protos:
+                    continue
+                # weight (B_c/B) and the 1/B_c mean factor cancel to 1/B
+                d_proto = global_c * (2.0 / (dim * batch)) * (protos[c] - global_protos[c])
+                d_embedding[masks[c]] += d_proto
+
+    d_pre = d_embedding * (pre_act > 0.0)
+    return ModelParams(shared=LayerParams(inputs.T @ d_pre, d_pre.sum(axis=0)), head=head)
+
+
+def reference_sgd_step(layer, grad, step_size, weight_decay):
+    """``model._sgd_step`` out of place: ``grad`` is left as it is."""
+    layer.weight -= step_size * (grad.weight + weight_decay * layer.weight)
+    layer.bias -= step_size * (grad.bias + weight_decay * layer.bias)
+
+
+def reference_compute(embeddings, labels):
+    """``prototypes.compute`` over ``np.unique`` classes with ``ndarray.mean``."""
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    result = {}
+    for c in np.unique(labels):
+        result[int(c)] = embeddings[labels == c].mean(axis=0)
+    return result
+
+
+def reference_compute_counts(labels):
+    """``prototypes.compute_counts`` by ``np.unique``."""
+    values, counts = np.unique(np.asarray(labels), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
+
+
 def reference_acc_global(shared, global_protos, test_sets):
     """Mean over clients with test data of each client's own hit rate,
     scored client by client."""

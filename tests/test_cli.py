@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -409,6 +410,18 @@ class TestMainEntry:
             code = main(["--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 4
         assert "update is not finite" in capsys.readouterr().err
+
+    def test_overflowing_center_scale_exit_code(self, tmp_path, capsys):
+        # On desk, squared gaps between centers of scale 1e200 overflow to inf:
+        # a data error before any training, and no numpy warning on the way.
+        desk = (Path(__file__).resolve().parents[1] / "configs" / "desk.cfg").read_text()
+        path = tmp_path / "huge.cfg"
+        path.write_text(desk.replace("center_scale = 2.0", "center_scale = 1e200"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "class centers coincide or overflow" in capsys.readouterr().err
 
     def test_no_test_data_exit_code(self, tmp_path, capsys):
         # desk.cfg spread over 20 stages: every stage part holds 1-2 samples,

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -74,6 +75,14 @@ class TestMakeSyntheticDataset:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DataError, match="class centers coincide or overflow"):
                 make_synthetic_dataset(small_spec(class_center_scale=1e308), 0)
+
+    def test_infinite_center_distances_are_data_error(self):
+        # Centers of scale 1e200 are finite, but their squared gaps overflow to
+        # inf distances: rejected too, under warnings raised as errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="class centers coincide or overflow"):
+                make_synthetic_dataset(small_spec(class_center_scale=1e200), 0)
 
     def test_invalid_fields_name_the_field(self):
         with pytest.raises(ConfigError, match="num_classes"):

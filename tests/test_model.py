@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldpsim import model
 from gldpsim.datagen import LabeledSet, StageTask
@@ -24,9 +26,18 @@ from gldpsim.model import (
     loss_total,
     stage_prototypes,
 )
+from gldpsim.prototypes import compute, compute_counts
 
 
-from oracles import finite_difference_grad, random_configuration
+from oracles import (
+    finite_difference_grad,
+    random_configuration,
+    reference_compute,
+    reference_compute_counts,
+    reference_grad_total,
+    reference_sgd_step,
+    reference_softmax,
+)
 
 
 class TestForward:
@@ -446,6 +457,91 @@ class TestFrozenLayerGradients:
         unstaged = updates()
         assert calls
         for a, b in zip(staged, unstaged):
+            for got, want in zip(param_arrays(a), param_arrays(b)):
+                assert got.tobytes() == want.tobytes()
+
+
+# Share of the classes that a drawn store holds: empty, partial or full.
+STORE_FILLS = (0.0, 0.5, 1.0)
+
+
+@st.composite
+def hot_path_cases(draw):
+    """(params, inputs, labels, old store, global store, weights, layers)."""
+    batch = draw(st.integers(1, 64))
+    width = draw(st.sampled_from((1, 2, 7, 32)))
+    classes = draw(st.integers(1, 6))
+    in_dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(in_dim, width, classes, [int(rng.integers(2**31)), 0])
+    params.shared.bias += rng.standard_normal(width)
+    inputs = rng.standard_normal((batch, in_dim))
+    labels = rng.integers(0, classes, batch)
+    old, glob = (
+        {c: 3.0 * rng.standard_normal(width) for c in range(classes) if rng.random() < fill}
+        for fill in (draw(st.sampled_from(STORE_FILLS)), draw(st.sampled_from(STORE_FILLS)))
+    )
+    weights = LossWeights(
+        relation_mix=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        temperature=draw(st.sampled_from((1e-3, 0.05, 1.0, 8.0))),
+    )
+    layers = draw(st.sampled_from((("shared", "head"), ("shared",), ("head",))))
+    return params, inputs, labels, old, glob, weights, layers
+
+
+class TestHotPathMatchesReference:
+    """The per-minibatch functions give the bytes of their reference forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hot_path_cases(), st.sampled_from((0.0, 0.05, 3.0)), st.sampled_from((0.0, 1e-4, 0.5)))
+    def test_gradient_step_softmax_and_prototypes(self, case, step_size, weight_decay):
+        params, inputs, labels, old, glob, weights, layers = case
+        got = grad_total(*case)
+        want = reference_grad_total(*case)
+        for name in ("shared", "head"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (name not in layers) == (w is None)
+            if g is None:
+                continue
+            assert g.weight.tobytes() == w.weight.tobytes()
+            assert g.bias.tobytes() == w.bias.tobytes()
+            stepped, ref = getattr(params, name).copy(), getattr(params, name).copy()
+            model._sgd_step(stepped, g, step_size, weight_decay)
+            reference_sgd_step(ref, w, step_size, weight_decay)
+            assert stepped.weight.tobytes() == ref.weight.tobytes()
+            assert stepped.bias.tobytes() == ref.bias.tobytes()
+
+        embedding, logits = forward(params, inputs)
+        for x in (logits, *(v / weights.temperature for v in old.values())):
+            assert model.softmax(x).tobytes() == reference_softmax(x).tobytes()
+        protos, ref_protos = compute(embedding, labels), reference_compute(embedding, labels)
+        assert list(protos) == list(ref_protos) and all(type(c) is int for c in protos)
+        assert all(protos[c].tobytes() == ref_protos[c].tobytes() for c in protos)
+        counts = compute_counts(labels)
+        assert list(counts.items()) == list(reference_compute_counts(labels).items())
+        assert all(type(c) is int and type(n) is int for c, n in counts.items())
+
+    def test_updates_match_reference_functions(self, monkeypatch):
+        # Many minibatches, relation terms acting, and FedProx's pull written
+        # into each gradient before the step.
+        rng = np.random.default_rng(21)
+        stage = one_stage(rng, num_classes=3, samples=40)
+        params = init_params(3, 5, 3, [21, 21])
+        old = {0: rng.standard_normal(5), 2: rng.standard_normal(5)}
+        glob = {c: rng.standard_normal(5) for c in range(3)}
+        opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=3, batch_size=8)
+
+        def updates():
+            return [
+                local_update(params, stage, old, glob, opt, LossWeights(0.5, 0.1),
+                             np.random.default_rng(3)),
+                joint_update(params, stage, opt, np.random.default_rng(4), prox_coeff=0.3),
+            ]
+
+        fast = updates()
+        monkeypatch.setattr(model, "grad_total", reference_grad_total)
+        monkeypatch.setattr(model, "_sgd_step", reference_sgd_step)
+        for a, b in zip(fast, updates()):
             for got, want in zip(param_arrays(a), param_arrays(b)):
                 assert got.tobytes() == want.tobytes()
 

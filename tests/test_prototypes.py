@@ -4,6 +4,7 @@ import pytest
 from gldpsim.errors import ProtocolError
 from gldpsim.prototypes import (
     compute,
+    compute_counts,
     inference_store,
     predict_batch,
     update_global,
@@ -35,6 +36,7 @@ class TestCompute:
 
     def test_empty_input_gives_empty_map(self):
         assert compute(np.empty((0, 4)), np.empty(0, dtype=np.int64)) == {}
+        assert compute_counts(np.empty(0, dtype=np.int64)) == {}
 
 
 class TestUpdateLocal:
