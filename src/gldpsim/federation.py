@@ -11,9 +11,10 @@ local updates, payloads, and inference.
 
 One write rule keeps logged messages snapshots and lets
 :func:`run_experiment` reuse a client's A_loc value while its inputs are
-the same objects. Only ``model._train`` writes into arrays a caller
-holds, and only into its own: its copy of the parameters and each step's
-gradients. All other arrays (parameters, prototypes, payloads, and the
+the same objects. Only ``model._train`` writes into arrays: into its
+two flat buffers, of the parameters and of the gradients ``grad_total``
+writes through ``out``, before it returns copies that own their memory.
+All other arrays (parameters, prototypes, payloads, and the
 ``LayerParams``/``ModelParams`` holding them) are shared by reference.
 No function mutates a dict it was given: prototype stores are replaced
 by the new dict the folds return. State changes are field reassignments

@@ -44,9 +44,6 @@ class ModelParams:
     shared: LayerParams
     head: LayerParams
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.shared.copy(), self.head.copy())
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -207,16 +204,21 @@ def grad_total(
     global_protos: dict[int, np.ndarray],
     weights: LossWeights,
     layers: tuple[str, ...] = ("shared", "head"),
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Analytic gradient of :func:`loss_total`, shaped like ModelParams.
 
     Both relation terms reach the shared layer through the batch class-mean
     embeddings; only cross-entropy touches the head. Only the gradients of
     ``layers`` are computed; the other field is None.
+
+    With ``out``, the gradients are written into ``out``'s arrays (a layer
+    not in ``layers`` is left as it is) and ``out`` itself is returned.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     batch = len(labels)
+    dst = out or ModelParams(LayerParams(None, None), LayerParams(None, None))
 
     pre_act = inputs @ params.shared.weight + params.shared.bias
     embedding = np.maximum(pre_act, 0.0)
@@ -228,47 +230,57 @@ def grad_total(
 
     head = None
     if "head" in layers:
-        head = LayerParams(embedding.T @ d_logits, np.add.reduce(d_logits, axis=0))
+        head = LayerParams(np.matmul(embedding.T, d_logits, out=dst.head.weight),
+                           np.add.reduce(d_logits, axis=0, out=dst.head.bias))
     if "shared" not in layers:
-        return ModelParams(shared=None, head=head)
+        return out or ModelParams(shared=None, head=head)
     d_embedding = d_logits @ params.head.weight.T
 
     local_c, global_c = weights.local_coeff, weights.global_coeff
     # A relation term acts only on classes that have a stored prototype.
     if (local_c > 0.0 and old_protos) or (global_c > 0.0 and global_protos):
         batch_classes = sorted(set(labels.tolist()))
-        masks = {c: labels == c for c in batch_classes}
-        counts = {c: np.count_nonzero(masks[c]) for c in batch_classes}
-        # add-reduce over count is what ndarray.mean computes, bit for bit
-        protos = {c: np.add.reduce(embedding[masks[c]], axis=0) / counts[c] for c in batch_classes}
-
-        if local_c > 0.0:
-            overlap = [c for c in batch_classes if c in old_protos]
-            for c in overlap:
-                t = weights.temperature
-                s_new = softmax(protos[c] / t)
+        overlap = [c for c in batch_classes if c in old_protos] if local_c > 0.0 else []
+        pulled = global_protos if global_c > 0.0 else {}
+        t, dim = weights.temperature, embedding.shape[1]
+        for c in batch_classes:
+            if c not in overlap and c not in pulled:
+                continue
+            # One gather and one write-back per class; local term before global.
+            mask = labels == c
+            rows = d_embedding[mask]
+            count = len(rows)
+            # add-reduce over count is what ndarray.mean computes, bit for bit
+            proto = np.add.reduce(embedding[mask], axis=0) / count
+            if c in overlap:
+                s_new = softmax(proto / t)
                 s_old = softmax(np.asarray(old_protos[c], dtype=np.float64) / t)
-                d_proto = local_c * (s_new - s_old) / (t * len(overlap))
-                d_embedding[masks[c]] += d_proto / counts[c]
-        if global_c > 0.0:
-            dim = embedding.shape[1]
-            for c in batch_classes:
-                if c not in global_protos:
-                    continue
+                rows += local_c * (s_new - s_old) / (t * len(overlap)) / count
+            if c in pulled:
                 # weight (B_c/B) and the 1/B_c mean factor cancel to 1/B
-                d_proto = global_c * (2.0 / (dim * batch)) * (protos[c] - global_protos[c])
-                d_embedding[masks[c]] += d_proto
+                rows += global_c * (2.0 / (dim * batch)) * (proto - pulled[c])
+            d_embedding[mask] = rows
 
     d_pre = d_embedding * (pre_act > 0.0)
-    return ModelParams(shared=LayerParams(inputs.T @ d_pre, np.add.reduce(d_pre, axis=0)), head=head)
+    shared = LayerParams(np.matmul(inputs.T, d_pre, out=dst.shared.weight),
+                         np.add.reduce(d_pre, axis=0, out=dst.shared.bias))
+    return out or ModelParams(shared=shared, head=head)
 
 
-def _sgd_step(layer: LayerParams, grad: LayerParams, step_size: float, weight_decay: float) -> None:
+def _sgd_step(param: np.ndarray, grad: np.ndarray, step_size: float, weight_decay: float) -> None:
     # In place in ``grad``. + and * commute, so the bits are param -= step_size * (grad + wd * param)
-    for param, step in ((layer.weight, grad.weight), (layer.bias, grad.bias)):
-        step += weight_decay * param
-        step *= step_size
-        param -= step
+    grad += weight_decay * param
+    grad *= step_size
+    param -= grad
+
+
+def _views(buffer: np.ndarray, like: tuple[np.ndarray, ...]) -> ModelParams:
+    """ModelParams of views into ``buffer``, holding the four arrays ``like`` end to end."""
+    views, start = [], 0
+    for array in like:
+        views.append(buffer[start : start + array.size].reshape(array.shape))
+        start += array.size
+    return ModelParams(LayerParams(*views[:2]), LayerParams(*views[2:]))
 
 
 def _train(
@@ -282,7 +294,7 @@ def _train(
     rng: np.random.Generator,
     prox_coeff: float = 0.0,
 ) -> ModelParams:
-    """Minibatch SGD on a copy of ``params`` over ``(layers, epochs)`` phases.
+    """Minibatch SGD from ``params`` over ``(layers, epochs)`` phases.
 
     Each step computes the gradient of the phase's layers only
     (``"shared"``/``"head"``) and moves them, in order: a frozen layer's
@@ -292,34 +304,36 @@ def _train(
     term). Only cross-entropy reaches the head, so a head-only phase forms
     the head gradient alone and never reaches the relation terms.
 
-    Writes only into arrays it owns: its copy of ``params`` and each step's
-    gradients, which the proximal pull and the SGD step update in place.
-    Every other array is shared by reference, no function mutates a dict
-    it was given, and state changes are field reassignments in
-    ``run_stage`` (see :mod:`gldpsim.federation`).
+    Writes only two flat buffers of its own, laid out as shared weight,
+    shared bias, head weight, head bias: the parameters, and the gradients
+    ``grad_total`` writes through ``out``. A phase's layers are one slice,
+    so the pull, weight decay and step are one elementwise op each on it.
+    Returns copies that own their memory (see :mod:`gldpsim.federation`).
     """
     if len(stage.train) == 0:
         raise DataError(f"stage {stage.stage_index} training set is empty")
-    received, params = params, params.copy()
+    arrays = (params.shared.weight, params.shared.bias, params.head.weight, params.head.bias)
+    flat = np.concatenate([a.ravel() for a in arrays])
+    grad_flat = np.empty_like(flat)
+    trained, grads = _views(flat, arrays), _views(grad_flat, arrays)
+    received = flat.copy()  # FedProx's anchor
+    split = arrays[0].size + arrays[1].size
     inputs, labels = stage.train.inputs, stage.train.labels
     n = len(labels)
 
     for layers, epochs in phases:
+        span = slice(0 if "shared" in layers else split, None if "head" in layers else split)
+        param, grad, anchor = flat[span], grad_flat[span], received[span]
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, opt.batch_size):
                 sel = order[start : start + opt.batch_size]
-                grads = grad_total(
-                    params, inputs[sel], labels[sel], old_protos, global_protos, weights, layers
-                )
-                for name in layers:
-                    layer, grad = getattr(params, name), getattr(grads, name)
-                    if prox_coeff > 0.0:
-                        anchor = getattr(received, name)
-                        grad.weight += prox_coeff * (layer.weight - anchor.weight)
-                        grad.bias += prox_coeff * (layer.bias - anchor.bias)
-                    _sgd_step(layer, grad, opt.step_size, opt.weight_decay)
-    return params
+                grad_total(trained, inputs[sel], labels[sel], old_protos, global_protos,
+                           weights, layers, out=grads)
+                if prox_coeff > 0.0:
+                    grad += prox_coeff * (param - anchor)
+                _sgd_step(param, grad, opt.step_size, opt.weight_decay)
+    return ModelParams(trained.shared.copy(), trained.head.copy())
 
 
 def local_update(

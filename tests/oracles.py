@@ -174,6 +174,35 @@ def reference_sgd_step(layer, grad, step_size, weight_decay):
     layer.bias -= step_size * (grad.bias + weight_decay * layer.bias)
 
 
+def reference_train(params, stage, phases, old_protos, global_protos, opt, weights, rng,
+                    prox_coeff=0.0):
+    """``model._train`` per array: a copy of each parameter array, a fresh
+    gradient per step, and the pull and step written array by array."""
+    if len(stage.train) == 0:
+        raise DataError(f"stage {stage.stage_index} training set is empty")
+    received = params
+    params = ModelParams(params.shared.copy(), params.head.copy())
+    inputs, labels = stage.train.inputs, stage.train.labels
+    n = len(labels)
+
+    for layers, epochs in phases:
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, opt.batch_size):
+                sel = order[start : start + opt.batch_size]
+                grads = reference_grad_total(
+                    params, inputs[sel], labels[sel], old_protos, global_protos, weights, layers
+                )
+                for name in layers:
+                    layer, grad = getattr(params, name), getattr(grads, name)
+                    if prox_coeff > 0.0:
+                        anchor = getattr(received, name)
+                        grad.weight += prox_coeff * (layer.weight - anchor.weight)
+                        grad.bias += prox_coeff * (layer.bias - anchor.bias)
+                    reference_sgd_step(layer, grad, opt.step_size, opt.weight_decay)
+    return params
+
+
 def reference_compute(embeddings, labels):
     """``prototypes.compute`` over ``np.unique`` classes with ``ndarray.mean``."""
     embeddings = np.asarray(embeddings, dtype=np.float64)

@@ -32,6 +32,7 @@ from gldpsim.metrics import A_GLOBAL, A_LOCAL, A_SELECTED, acc_local, acc_local_
 from gldpsim.model import (
     LayerParams,
     LossWeights,
+    ModelParams,
     OptimizerConfig,
     grad_total,
     init_params,
@@ -322,7 +323,7 @@ class TestBaselineUpdate:
             step_size=0.05, shared_epochs=1, head_epochs=1, weight_decay=0.0, batch_size=10_000
         )
         updated = joint_update(broadcast, stage, opt, np.random.default_rng(4), prox_coeff=0.0)
-        expect = broadcast.copy()
+        expect = ModelParams(broadcast.shared.copy(), broadcast.head.copy())
         for _ in range(2):  # shared_epochs + head_epochs joint passes
             grads = grad_total(expect, stage.train.inputs, stage.train.labels, {}, {}, LossWeights())
             expect.shared.weight -= 0.05 * grads.shared.weight

@@ -37,6 +37,7 @@ from oracles import (
     reference_grad_total,
     reference_sgd_step,
     reference_softmax,
+    reference_train,
 )
 
 
@@ -320,7 +321,7 @@ class TestLocalUpdate:
             params, stage, {}, {}, opt, weights, np.random.default_rng(11)
         )
 
-        expect = params.copy()
+        expect = ModelParams(params.shared.copy(), params.head.copy())
         g1 = grad_total(expect, stage.train.inputs, stage.train.labels, {}, {}, weights)
         expect.shared.weight -= alpha * (g1.shared.weight + wd * expect.shared.weight)
         expect.shared.bias -= alpha * (g1.shared.bias + wd * expect.shared.bias)
@@ -449,9 +450,9 @@ class TestFrozenLayerGradients:
         staged = updates()
         full_gradient, calls = model.grad_total, []
 
-        def ignore_layers(*args, **kwargs):
+        def ignore_layers(*args, out=None, **kwargs):
             calls.append(1)
-            return full_gradient(*args[:6])
+            return full_gradient(*args[:6], out=out)
 
         monkeypatch.setattr(model, "grad_total", ignore_layers)
         unstaged = updates()
@@ -498,15 +499,22 @@ class TestHotPathMatchesReference:
         params, inputs, labels, old, glob, weights, layers = case
         got = grad_total(*case)
         want = reference_grad_total(*case)
+        # ``out`` views one flat buffer, as in ``_train``; a layer not in
+        # ``layers`` keeps its fill.
+        fill = np.full(sum(a.size for a in param_arrays(params)), 7.5)
+        out = model._views(fill, param_arrays(params))
+        assert grad_total(*case, out=out) is out
         for name in ("shared", "head"):
-            g, w = getattr(got, name), getattr(want, name)
+            g, w, o = getattr(got, name), getattr(want, name), getattr(out, name)
             assert (g is None) == (name not in layers) == (w is None)
             if g is None:
+                assert (o.weight == 7.5).all() and (o.bias == 7.5).all()
                 continue
-            assert g.weight.tobytes() == w.weight.tobytes()
-            assert g.bias.tobytes() == w.bias.tobytes()
+            assert g.weight.tobytes() == w.weight.tobytes() == o.weight.tobytes()
+            assert g.bias.tobytes() == w.bias.tobytes() == o.bias.tobytes()
             stepped, ref = getattr(params, name).copy(), getattr(params, name).copy()
-            model._sgd_step(stepped, g, step_size, weight_decay)
+            model._sgd_step(stepped.weight, g.weight, step_size, weight_decay)
+            model._sgd_step(stepped.bias, g.bias, step_size, weight_decay)
             reference_sgd_step(ref, w, step_size, weight_decay)
             assert stepped.weight.tobytes() == ref.weight.tobytes()
             assert stepped.bias.tobytes() == ref.bias.tobytes()
@@ -523,7 +531,8 @@ class TestHotPathMatchesReference:
 
     def test_updates_match_reference_functions(self, monkeypatch):
         # Many minibatches, relation terms acting, and FedProx's pull written
-        # into each gradient before the step.
+        # into each gradient before the step: the flat-buffer loop gives the
+        # bytes of the per-array one.
         rng = np.random.default_rng(21)
         stage = one_stage(rng, num_classes=3, samples=40)
         params = init_params(3, 5, 3, [21, 21])
@@ -539,11 +548,33 @@ class TestHotPathMatchesReference:
             ]
 
         fast = updates()
-        monkeypatch.setattr(model, "grad_total", reference_grad_total)
-        monkeypatch.setattr(model, "_sgd_step", reference_sgd_step)
+        monkeypatch.setattr(model, "_train", reference_train)
         for a, b in zip(fast, updates()):
             for got, want in zip(param_arrays(a), param_arrays(b)):
                 assert got.tobytes() == want.tobytes()
+
+    def test_updates_write_only_their_own_arrays(self):
+        # The received arrays come back unchanged, and every returned array
+        # owns its memory: none is a view into the training buffers or
+        # shares memory with another array, so an upload never keeps the
+        # other layer alive.
+        rng = np.random.default_rng(22)
+        stage = one_stage(rng, num_classes=3, samples=40)
+        params = init_params(3, 5, 3, [22, 22])
+        old = {0: rng.standard_normal(5)}
+        glob = {c: rng.standard_normal(5) for c in range(3)}
+        opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=2, batch_size=8)
+        before = [a.copy() for a in param_arrays(params)]
+        for updated in (
+            local_update(params, stage, old, glob, opt, LossWeights(), np.random.default_rng(1)),
+            joint_update(params, stage, opt, np.random.default_rng(2), prox_coeff=0.3),
+        ):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(param_arrays(params), before))
+            returned = param_arrays(updated)
+            for i, array in enumerate(returned):
+                assert array.base is None
+                others = param_arrays(params) + returned[:i] + returned[i + 1 :]
+                assert not any(np.shares_memory(array, other) for other in others)
 
 
 class TestOptimizerConfigValidation:
