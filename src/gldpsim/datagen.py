@@ -180,7 +180,8 @@ def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
 
     Each class gets an isotropic Gaussian cloud of ``samples_per_class``
     points around a per-class center drawn once from a scaled standard
-    Gaussian. Deterministic in ``seed``.
+    Gaussian. Deterministic in ``seed``. Samples that overflow raise
+    ``DataError``.
     """
     center_rng = np.random.default_rng([seed, _TAG_CENTERS])
     centers = center_rng.standard_normal((spec.num_classes, spec.input_dim))
@@ -193,13 +194,20 @@ def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     if overflow or not distances.min() > 0.0:
         raise DataError("class centers coincide or overflow")
 
+    # Each class's block is drawn, scaled and shifted in place in one array:
+    # the same draws, products and sums as ``centers[c] + noise * sigma``.
     sample_rng = np.random.default_rng([seed, _TAG_SAMPLES])
     n = spec.samples_per_class
-    blocks = []
-    for c in range(spec.num_classes):
-        noise = sample_rng.standard_normal((n, spec.input_dim)) * spec.noise_sigma
-        blocks.append(centers[c] + noise)
-    inputs = np.concatenate(blocks)
+    inputs = np.empty((spec.num_classes * n, spec.input_dim))
+    try:
+        with np.errstate(over="raise"):
+            for c in range(spec.num_classes):
+                block = inputs[c * n:(c + 1) * n]
+                sample_rng.standard_normal(out=block)
+                block *= spec.noise_sigma
+                block += centers[c]
+    except FloatingPointError:
+        raise DataError("samples overflow: noise_sigma is too large") from None
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
     return LabeledSet(inputs, labels)
 

@@ -331,8 +331,9 @@ def initialize_experiment(
     config: ExperimentConfig,
 ) -> tuple[ServerState, dict[int, ClientState]]:
     """Build data, timelines, and one initial model shared by every client."""
-    data = make_synthetic_dataset(config.dataset, config.seed)
-    longtailed = apply_longtail(data, config.plan.imbalance_factor, config.seed)
+    # Nothing holds the balanced set once it is thinned.
+    longtailed = apply_longtail(make_synthetic_dataset(config.dataset, config.seed),
+                                config.plan.imbalance_factor, config.seed)
     timelines = partition_clients(longtailed, config.plan, config.seed)
 
     init = init_params(
@@ -386,6 +387,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
     order = sorted(clients)
     test_sets = [clients[c].timeline.test_union() for c in order]
     a_loc_memo: dict = {}  # this run's A_loc values; only selected clients retrain
+    a_glo_memo: dict = {}  # the rows A_glo scores, fixed for the run
 
     def store(client: ClientState) -> dict[int, np.ndarray]:
         """The store a GLDP client predicts with; its scope is every class it holds."""
@@ -423,7 +425,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
         drops = {c: forgetting(sel_history[c]) for c in selected if sel_history[c]}
         log(round_index, stage_count, FORGETTING, drops)
         if algorithm == "GLDP":
-            a_glo = acc_global(server.shared, server.global_protos, test_sets)
+            a_glo = acc_global(server.shared, server.global_protos, test_sets, memo=a_glo_memo)
             models = [(clients[c].params.shared, store(clients[c])) for c in order]
             a_loc = acc_local(models, test_sets, memo=a_loc_memo)
         else:

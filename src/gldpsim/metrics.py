@@ -84,22 +84,35 @@ def _mean(values: list[float | None]) -> float:
     return float(np.mean(present))
 
 
+def _scored_rows(test_sets: Sequence[LabeledSet]) -> tuple:
+    """The non-empty test sets, their concatenated labels, sizes and start rows."""
+    present = [ts for ts in test_sets if len(ts)]
+    if not present:
+        return present, None, None, None
+    sizes = np.array([len(ts) for ts in present])
+    return present, np.concatenate([ts.labels for ts in present]), sizes, np.cumsum(sizes) - sizes
+
+
 def acc_global(
-    shared: LayerParams, global_protos: dict[int, np.ndarray], test_sets: Sequence[LabeledSet]
+    shared: LayerParams, global_protos: dict[int, np.ndarray], test_sets: Sequence[LabeledSet],
+    *, memo: dict | None = None,
 ) -> float:
     """Mean per-client accuracy of the global model with global prototypes.
 
     Each non-empty test set is embedded on its own (one stacked matmul
     would not be bit-identical), and all rows are then scored in one
-    :func:`predict_batch` pass; empty test sets are skipped.
+    :func:`predict_batch` pass; empty test sets are skipped. ``memo``
+    carries the non-empty sets, their labels and their row offsets to the
+    next call, while every test set is the held object.
     """
-    present = [ts for ts in test_sets if len(ts)]
+    memo = {} if memo is None else memo
+    present, labels, sizes, starts = _reuse(memo, "rows", [], tuple(test_sets),
+                                            lambda: _scored_rows(test_sets))
     if not present:
         return _mean([])
     embeddings = np.concatenate([embed(shared, ts.inputs) for ts in present])
-    hits = predict_batch(embeddings, global_protos) == np.concatenate([ts.labels for ts in present])
-    sizes = np.array([len(ts) for ts in present])
-    counts = np.add.reduceat(hits, np.cumsum(sizes) - sizes, dtype=np.int64)
+    hits = predict_batch(embeddings, global_protos) == labels
+    counts = np.add.reduceat(hits, starts, dtype=np.int64)
     return _mean([float(c / n) for c, n in zip(counts, sizes)])
 
 
@@ -112,7 +125,7 @@ def acc_global_softmax(
     )
 
 
-def _reuse(memo: dict, key: int, classes: list[int], inputs: tuple, compute):
+def _reuse(memo: dict, key, classes: list[int], inputs: tuple, compute):
     """The value held under ``key``, or ``compute()`` (then held) if an input changed.
 
     Inputs are unchanged when ``classes`` equals the held list and every
@@ -122,7 +135,8 @@ def _reuse(memo: dict, key: int, classes: list[int], inputs: tuple, compute):
     ids from being reused.
     """
     held = memo.get(key)
-    if held is None or held[0] != classes or any(a is not b for a, b in zip(held[1], inputs)):
+    if (held is None or held[0] != classes or len(held[1]) != len(inputs)
+            or any(a is not b for a, b in zip(held[1], inputs))):
         held = memo[key] = (classes, inputs, compute())
     return held[2]
 

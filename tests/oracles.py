@@ -14,9 +14,12 @@ from collections import defaultdict
 import numpy as np
 
 from gldpsim.datagen import (
+    _TAG_CENTERS,
     _TAG_PARTITION,
+    _TAG_SAMPLES,
     _TRAIN_FRACTION,
     ClientTimeline,
+    DatasetSpec,
     LabeledSet,
     PartitionPlan,
     StageTask,
@@ -285,6 +288,31 @@ def reconstruct_input(shared, prototype):
         shared.weight[:, active].T, prototype[active] - shared.bias[active], rcond=None
     )
     return solution
+
+
+# The generator as it was while it drew one block per class and concatenated
+# them, verbatim but for its name: the in-place one must give the same bytes.
+def reference_make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
+    center_rng = np.random.default_rng([seed, _TAG_CENTERS])
+    centers = center_rng.standard_normal((spec.num_classes, spec.input_dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge scale overflows: rejected below
+        centers *= spec.class_center_scale
+        gaps = centers[:, None, :] - centers[None, :, :]
+        distances = np.sqrt((gaps**2).sum(axis=-1))
+    overflow = not np.isfinite(distances).all()  # inf, or NaN from inf - inf
+    np.fill_diagonal(distances, np.inf)
+    if overflow or not distances.min() > 0.0:
+        raise DataError("class centers coincide or overflow")
+
+    sample_rng = np.random.default_rng([seed, _TAG_SAMPLES])
+    n = spec.samples_per_class
+    blocks = []
+    for c in range(spec.num_classes):
+        noise = sample_rng.standard_normal((n, spec.input_dim)) * spec.noise_sigma
+        blocks.append(centers[c] + noise)
+    inputs = np.concatenate(blocks)
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
+    return LabeledSet(inputs, labels)
 
 
 # The partitioner as it was while it split with np.array_split, verbatim but

@@ -423,6 +423,30 @@ class TestMainEntry:
         assert code == 3
         assert "class centers coincide or overflow" in capsys.readouterr().err
 
+    def test_overflowing_noise_exit_code(self, tmp_path, capsys):
+        # On desk, noise of scale 1e308 overflows the samples to +-inf: a data
+        # error before any training, and no numpy warning on the way.
+        desk = (Path(__file__).resolve().parents[1] / "configs" / "desk.cfg").read_text()
+        path = tmp_path / "noisy.cfg"
+        path.write_text(desk.replace("noise_sigma = 2.5", "noise_sigma = 1e308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "samples overflow" in capsys.readouterr().err
+
+    def test_huge_finite_noise_fails_in_training(self, tmp_path, capsys):
+        # Noise of scale 1e305 leaves the samples finite; training then
+        # overflows, and the protocol error names round, stage and client.
+        desk = (Path(__file__).resolve().parents[1] / "configs" / "desk.cfg").read_text()
+        path = tmp_path / "noisy.cfg"
+        path.write_text(desk.replace("noise_sigma = 2.5", "noise_sigma = 1e305"))
+        with np.errstate(all="ignore"):
+            code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert re.search(r"round \d+ stage \d+: client \d+ update is not finite",
+                         capsys.readouterr().err)
+
     def test_no_test_data_exit_code(self, tmp_path, capsys):
         # desk.cfg spread over 20 stages: every stage part holds 1-2 samples,
         # all of them training samples, so no accuracy can be measured.

@@ -23,7 +23,11 @@ from gldpsim.datagen import (
 from gldpsim.errors import ConfigError, DataError
 from gldpsim.federation import ExperimentConfig
 from gldpsim.prototypes import compute_counts
-from oracles import rebuild_test_union, reference_partition_clients
+from oracles import (
+    rebuild_test_union,
+    reference_make_synthetic_dataset,
+    reference_partition_clients,
+)
 
 
 def small_spec(**overrides):
@@ -83,6 +87,42 @@ class TestMakeSyntheticDataset:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DataError, match="class centers coincide or overflow"):
                 make_synthetic_dataset(small_spec(class_center_scale=1e200), 0)
+
+    def test_overflowing_noise_is_data_error(self):
+        # Noise of scale 1e308 overflows to +-inf in the samples: rejected,
+        # under warnings raised as errors.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="samples overflow"):
+                make_synthetic_dataset(small_spec(noise_sigma=1e308), 0)
+
+    def test_huge_finite_noise_is_accepted(self):
+        # Noise of scale 1e305 stays finite; what it does to training is the
+        # protocol's to report.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            data = make_synthetic_dataset(small_spec(noise_sigma=1e305), 0)
+        assert np.isfinite(data.inputs).all()
+        assert np.abs(data.inputs).max() > 1e305
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_classes=st.integers(2, 12),
+        input_dim=st.integers(2, 20),
+        samples_per_class=st.integers(1, 300),
+        class_center_scale=st.floats(0.1, 10.0),
+        noise_sigma=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_generation_is_byte_identical(self, seed, **fields):
+        # The in-place fill gives the bytes of the blocks-and-concatenate form.
+        spec = DatasetSpec(**fields)
+        got = make_synthetic_dataset(spec, seed)
+        want = reference_make_synthetic_dataset(spec, seed)
+        assert got.inputs.shape == want.inputs.shape
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.labels.dtype == want.labels.dtype
 
     def test_invalid_fields_name_the_field(self):
         with pytest.raises(ConfigError, match="num_classes"):

@@ -28,7 +28,7 @@ from gldpsim.federation import (
     run_stage,
     select_clients,
 )
-from gldpsim.metrics import A_GLOBAL, A_LOCAL, A_SELECTED, acc_local, acc_local_softmax
+from gldpsim.metrics import A_GLOBAL, A_LOCAL, A_SELECTED, acc_global, acc_local, acc_local_softmax
 from gldpsim.model import (
     LayerParams,
     LossWeights,
@@ -42,6 +42,7 @@ from gldpsim.prototypes import inference_store
 
 from oracles import (
     reconstruct_input,
+    reference_acc_global,
     reference_message_dict,
     reference_message_line,
     reference_run_experiment,
@@ -512,6 +513,21 @@ class TestRunExperiment:
         event("ran" if isinstance(logged, list) else f"raised {logged[0].__name__}")
         assert logged == rows(reference_run_experiment)
 
+    def test_memoized_a_glo_equals_reference_each_round(self):
+        # One memo over six desk rounds: it holds the same scored rows from
+        # the first round on, and every value equals the per-client oracle's.
+        config = replace(parse_config(DESK), rounds=6)
+        server, clients = initialize_experiment(config)
+        test_sets = [clients[c].timeline.test_union() for c in sorted(clients)]
+        memo: dict = {}
+        for round_index in range(1, config.rounds + 1):
+            run_round(server, clients, config, round_index)
+            value = acc_global(server.shared, server.global_protos, test_sets, memo=memo)
+            assert value == reference_acc_global(server.shared, server.global_protos, test_sets)
+            if round_index == 1:
+                held = dict(memo)
+        assert held and all(memo[key] is kept for key, kept in held.items())
+
     def test_metrics_rows_present_and_in_range(self):
         mlog = run_experiment(tiny_config())
         metrics = {r.metric for r in mlog.rows}
@@ -544,6 +560,26 @@ class TestRunExperiment:
         selected = select_clients(4, 3, seed=0, round_index=1)
         for cid in selected:
             assert not np.array_equal(clients[cid].params.head.weight, heads_before[cid])
+
+
+class TestInitializeExperiment:
+    def test_setup_peak_holds_the_balanced_set_once(self):
+        # The balanced set is drawn in place and let go once it is thinned, so
+        # set-up's traced peak stays below 1.6x its inputs; drawing a block per
+        # class, concatenating them and holding the set through partitioning
+        # peaked at 2.18x.
+        desk = parse_config(DESK)
+        config = replace(desk, dataset=replace(desk.dataset, samples_per_class=1000))
+        balanced_bytes = 10 * 1000 * 16 * np.dtype(np.float64).itemsize
+        assert (config.dataset.num_classes, config.dataset.input_dim) == (10, 16)
+        initialize_experiment(desk)  # one-time allocations are not set-up's peak
+        tracemalloc.start()
+        try:
+            initialize_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * balanced_bytes
 
 
 class TestStagedTrendDirection:

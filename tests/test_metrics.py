@@ -91,6 +91,24 @@ class TestAccGlobal:
         store = store_with({0: [1.0, 0.0], 1: [-1.0, 0.0]})
         assert acc_global(identity_shared(2), store, [data, empty]) == 1.0
 
+    def test_memo_follows_replaced_and_dropped_test_sets(self):
+        # The held rows are reused only while every test set is the held
+        # object: a replaced, dropped or added set is scored as given.
+        rng = np.random.default_rng(4)
+        centers = [[8.0, 1.0], [1.0, 8.0], [8.0, 8.0]]
+        sets = [separated_clouds(rng, centers, n) for n in (5, 7, 9)]
+        other = separated_clouds(rng, centers, 4)
+        empty = labeled(np.empty((0, 2)), [])
+        store = store_with({0: [6.0, 2.0], 1: [2.0, 6.0], 2: [6.0, 6.0]})
+        shared = LayerParams(np.array([[1.0, 0.3], [0.2, 1.0]]), np.zeros(2))
+        memo: dict = {}
+        for given_sets in (sets, sets, sets[:2], sets, [sets[0], other, sets[2]],
+                           [*sets[:2], empty], [empty, other], sets):
+            assert (acc_global(shared, store, given_sets, memo=memo)
+                    == reference_acc_global(shared, store, given_sets))
+        with pytest.raises(ProtocolError, match="no client's test data can be evaluated"):
+            acc_global(shared, store, [empty], memo=memo)
+
 
 # Test-set sizes on either side of predict_batch's 64-row block.
 BLOCK_EDGE_SIZES = (0, 1, 63, 64, 65, 130)
