@@ -275,46 +275,53 @@ def run_stage(
         down_payload["head"] = server.head
     uploads: dict[int, dict] = {}
 
-    for cid in selected:
-        client = clients[cid]
-        stage = client.timeline.stages[stage_index - 1]
-        if message_log is not None:
-            message_log.append(
-                RoundMessage("server_to_client", "server", cid, round_index, stage_index, down_payload)
-            )
+    # An overflow or invalid value anywhere in a client's update raises,
+    # whatever the warnings filter; underflow stays ignored.
+    with np.errstate(over="raise", invalid="raise"):
+        for cid in selected:
+            client = clients[cid]
+            stage = client.timeline.stages[stage_index - 1]
+            if message_log is not None:
+                message_log.append(RoundMessage("server_to_client", "server", cid,
+                                                round_index, stage_index, down_payload))
 
-        if len(stage.train) == 0:
-            continue
+            if len(stage.train) == 0:
+                continue
 
-        rng = np.random.default_rng(
-            [config.seed, _TAG_CLIENT, round_index, stage_index, cid]
-        )
-        start = ModelParams(server.shared, server.head if full_model else client.params.head)
-        if full_model:
-            coeff = config.fedprox_coeff if algorithm == "FedProx" else 0.0
-            client.params = joint_update(start, stage, config.opt, rng, prox_coeff=coeff)
-            up_payload = {"shared": client.params.shared, "head": client.params.head}
-        else:
-            client.params = local_update(
-                start, stage, client.local_protos, server.global_protos,
-                config.opt, config.weights, rng,
-            )
-            up_payload = {"shared": client.params.shared}
-        if algorithm == "GLDP":
-            fresh = stage_prototypes(client.params.shared, stage)
-            up_payload["prototypes"] = fresh
-            up_payload["class_counts"] = compute_counts(stage.train.labels)
-            client.local_protos = update_local(client.local_protos, fresh, config.proto_momentum)
-        if not all(np.isfinite(a).all() for a in _payload_arrays(up_payload)):
-            raise ProtocolError(
-                f"round {round_index} stage {stage_index}: client {cid} update is not finite"
-            )
+            try:
+                rng = np.random.default_rng(
+                    [config.seed, _TAG_CLIENT, round_index, stage_index, cid]
+                )
+                start = ModelParams(server.shared,
+                                    server.head if full_model else client.params.head)
+                if full_model:
+                    coeff = config.fedprox_coeff if algorithm == "FedProx" else 0.0
+                    client.params = joint_update(start, stage, config.opt, rng, prox_coeff=coeff)
+                    up_payload = {"shared": client.params.shared, "head": client.params.head}
+                else:
+                    client.params = local_update(
+                        start, stage, client.local_protos, server.global_protos,
+                        config.opt, config.weights, rng,
+                    )
+                    up_payload = {"shared": client.params.shared}
+                if algorithm == "GLDP":
+                    fresh = stage_prototypes(client.params.shared, stage)
+                    up_payload["prototypes"] = fresh
+                    up_payload["class_counts"] = compute_counts(stage.train.labels)
+                    client.local_protos = update_local(client.local_protos, fresh,
+                                                       config.proto_momentum)
+                finite = all(np.isfinite(a).all() for a in _payload_arrays(up_payload))
+            except FloatingPointError:
+                finite = False
+            if not finite:
+                raise ProtocolError(
+                    f"round {round_index} stage {stage_index}: client {cid} update is not finite"
+                )
 
-        if message_log is not None:
-            message_log.append(
-                RoundMessage("client_to_server", cid, "server", round_index, stage_index, up_payload)
-            )
-        uploads[cid] = up_payload
+            if message_log is not None:
+                message_log.append(RoundMessage("client_to_server", cid, "server",
+                                                round_index, stage_index, up_payload))
+            uploads[cid] = up_payload
 
     order = sorted(uploads)
     if order:
@@ -387,7 +394,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
     order = sorted(clients)
     test_sets = [clients[c].timeline.test_union() for c in order]
     a_loc_memo: dict = {}  # this run's A_loc values; only selected clients retrain
-    a_glo_memo: dict = {}  # the rows A_glo scores, fixed for the run
+    a_glo_memo: dict = {}  # the size groups A_glo scores, fixed for the run
 
     def store(client: ClientState) -> dict[int, np.ndarray]:
         """The store a GLDP client predicts with; its scope is every class it holds."""
@@ -430,9 +437,8 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
             a_loc = acc_local(models, test_sets, memo=a_loc_memo)
         else:
             # FedRep's server holds no head: each client's own stands in.
-            global_models = [ModelParams(server.shared, server.head or clients[c].params.head)
-                             for c in order]
-            a_glo = acc_global_softmax(global_models, test_sets)
+            heads = [server.head or clients[c].params.head for c in order]
+            a_glo = acc_global_softmax(server.shared, heads, test_sets, memo=a_glo_memo)
             a_loc = acc_local_softmax([clients[c].params for c in order], test_sets, memo=a_loc_memo)
         mlog.add(round_index, stage_count, algorithm, A_GLOBAL, "ALL", a_glo)
         mlog.add(round_index, stage_count, algorithm, A_LOCAL, "ALL", a_loc)

@@ -84,13 +84,33 @@ def _mean(values: list[float | None]) -> float:
     return float(np.mean(present))
 
 
-def _scored_rows(test_sets: Sequence[LabeledSet]) -> tuple:
-    """The non-empty test sets, their concatenated labels, sizes and start rows."""
-    present = [ts for ts in test_sets if len(ts)]
-    if not present:
-        return present, None, None, None
-    sizes = np.array([len(ts) for ts in present])
-    return present, np.concatenate([ts.labels for ts in present]), sizes, np.cumsum(sizes) - sizes
+def _size_groups(test_sets: Sequence[LabeledSet]) -> list[tuple]:
+    """The non-empty test sets grouped by row count, in order of first size.
+
+    Each group is ``(positions, inputs (g, M, input_dim), labels (g, M))``:
+    the positions of its ``g`` sets of ``M`` rows in ``test_sets``, and
+    their rows stacked along a new first axis.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, ts in enumerate(test_sets):
+        if len(ts):
+            by_size.setdefault(len(ts), []).append(i)
+    return [(positions, np.stack([test_sets[i].inputs for i in positions]),
+             np.stack([test_sets[i].labels for i in positions]))
+            for positions in by_size.values()]
+
+
+def _group_mean(groups: list[tuple], hits: Sequence[np.ndarray], count: int) -> float:
+    """:func:`_mean` of each set's hit rate, in the order of the ``count`` test sets.
+
+    ``hits[k]`` is the ``(g, M)`` hit array of ``groups[k]``. The rates go
+    back in client order first: ``np.mean`` over a list depends on order.
+    """
+    values: list[float | None] = [None] * count
+    for (positions, _, labels), group_hits in zip(groups, hits):
+        for i, rate in zip(positions, group_hits.sum(axis=1) / labels.shape[1]):
+            values[i] = rate
+    return _mean(values)
 
 
 def acc_global(
@@ -99,30 +119,55 @@ def acc_global(
 ) -> float:
     """Mean per-client accuracy of the global model with global prototypes.
 
-    Each non-empty test set is embedded on its own (one stacked matmul
-    would not be bit-identical), and all rows are then scored in one
+    The non-empty test sets are grouped by row count, and each group of
+    ``g`` sets of ``M`` rows is embedded in one matmul over its
+    ``(g, M, input_dim)`` stack. numpy's matmul runs one BLAS call per
+    slice of a stack, with that slice's own shapes, so each set's
+    embedding is the one it gets alone. All rows are then scored in one
     :func:`predict_batch` pass; empty test sets are skipped. ``memo``
-    carries the non-empty sets, their labels and their row offsets to the
-    next call, while every test set is the held object.
+    carries the groups to the next call, while every test set is the held
+    object.
     """
     memo = {} if memo is None else memo
-    present, labels, sizes, starts = _reuse(memo, "rows", [], tuple(test_sets),
-                                            lambda: _scored_rows(test_sets))
-    if not present:
+    groups = _reuse(memo, "groups", [], tuple(test_sets), lambda: _size_groups(test_sets))
+    if not groups:
         return _mean([])
-    embeddings = np.concatenate([embed(shared, ts.inputs) for ts in present])
-    hits = predict_batch(embeddings, global_protos) == labels
-    counts = np.add.reduceat(hits, starts, dtype=np.int64)
-    return _mean([float(c / n) for c, n in zip(counts, sizes)])
+    embedded = np.concatenate([embed(shared, inputs).reshape(labels.size, -1)
+                               for _, inputs, labels in groups])
+    predicted = predict_batch(embedded, global_protos)
+    hits, start = [], 0
+    for _, _, labels in groups:
+        hits.append(predicted[start:start + labels.size].reshape(labels.shape) == labels)
+        start += labels.size
+    return _group_mean(groups, hits, len(test_sets))
 
 
 def acc_global_softmax(
-    params_per_client: Sequence[ModelParams], test_sets: Sequence[LabeledSet]
+    shared: LayerParams, heads: Sequence[LayerParams], test_sets: Sequence[LabeledSet],
+    *, memo: dict | None = None,
 ) -> float:
-    """Mean per-client softmax accuracy of the model given for each client."""
-    return _mean(
-        [accuracy_softmax(p, ts) for p, ts in zip(params_per_client, test_sets)]
-    )
+    """Mean per-client softmax accuracy of ``shared`` with each client's head.
+
+    Groups and ``memo`` as in :func:`acc_global`; each group's logits are
+    one matmul of its embedding stack with its clients' stacked heads. The
+    heads are stacked once, in group order, so each group's are one slice
+    (one concatenation and a reshape: ``np.stack`` costs more per array).
+    """
+    memo = {} if memo is None else memo
+    groups = _reuse(memo, "groups", [], tuple(test_sets), lambda: _size_groups(test_sets))
+    if not groups:
+        return _mean([])
+    order = [i for positions, _, _ in groups for i in positions]
+    weights = np.concatenate([heads[i].weight for i in order]).reshape(
+        len(order), shared.weight.shape[1], -1)
+    biases = np.concatenate([heads[i].bias for i in order]).reshape(len(order), 1, -1)
+    hits, start = [], 0
+    for positions, inputs, labels in groups:
+        stop = start + len(positions)
+        logits = embed(shared, inputs) @ weights[start:stop] + biases[start:stop]
+        hits.append(logits.argmax(axis=2) == labels)
+        start = stop
+    return _group_mean(groups, hits, len(test_sets))
 
 
 def _reuse(memo: dict, key, classes: list[int], inputs: tuple, compute):

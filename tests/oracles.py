@@ -41,8 +41,6 @@ from gldpsim.metrics import (
     A_SELECTED,
     FORGETTING,
     MetricsLog,
-    acc_global,
-    acc_global_softmax,
     acc_local,
     acc_local_softmax,
     acc_sel_prototypes,
@@ -222,17 +220,31 @@ def reference_compute_counts(labels):
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
+def _reference_client_mean(values):
+    """The mean of the per-client values, in client order, with the run's error."""
+    if not values:
+        raise ProtocolError("no client's test data can be evaluated: none has prototypes yet")
+    return float(np.mean(values))
+
+
 def reference_acc_global(shared, global_protos, test_sets):
     """Mean over clients with test data of each client's own hit rate,
     scored client by client."""
-    values = [
+    return _reference_client_mean([
         float((reference_predict_batch(embed(shared, ts.inputs), global_protos) == ts.labels).mean())
         for ts in test_sets
         if len(ts)
-    ]
-    if not values:
-        raise ProtocolError("no client's test data can be evaluated")
-    return float(np.mean(values))
+    ])
+
+
+def reference_acc_global_softmax(params_per_client, test_sets):
+    """Mean over clients with test data of the softmax hit rate of the model
+    given for each client, scored client by client."""
+    return _reference_client_mean([
+        reference_accuracy_softmax(params, ts)
+        for params, ts in zip(params_per_client, test_sets)
+        if len(ts)
+    ])
 
 
 def reference_accuracy_prototypes(shared, store, data):
@@ -412,7 +424,8 @@ def reference_partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int
 
 # The evaluation as it was while four pieces shared it (run_experiment, its
 # per-round closure, _client_sel_accuracy and _log_round_metrics), verbatim
-# but for the names: the single-place evaluation must log the same rows.
+# but for the names and for A_glo, which is scored client by client: the
+# single-place evaluation, with its grouped A_glo, must log the same rows.
 def _reference_client_store(
     client: ClientState, server: ServerState, config: ExperimentConfig
 ) -> dict[int, np.ndarray]:
@@ -446,7 +459,7 @@ def _reference_log_round_metrics(
     test_sets = [clients[c].timeline.test_union() for c in order]
 
     if algorithm == "GLDP":
-        a_glo = acc_global(server.shared, server.global_protos, test_sets)
+        a_glo = reference_acc_global(server.shared, server.global_protos, test_sets)
         models = [(clients[c].params.shared, _reference_client_store(clients[c], server, config))
                   for c in order]
         a_loc = acc_local(models, test_sets, memo=a_loc_memo)
@@ -455,7 +468,7 @@ def _reference_log_round_metrics(
             global_models = [ModelParams(server.shared, clients[c].params.head) for c in order]
         else:
             global_models = [ModelParams(server.shared, server.head) for _ in order]
-        a_glo = acc_global_softmax(global_models, test_sets)
+        a_glo = reference_acc_global_softmax(global_models, test_sets)
         a_loc = acc_local_softmax([clients[c].params for c in order], test_sets, memo=a_loc_memo)
 
     mlog.add(round_index, stage_count, algorithm, A_GLOBAL, "ALL", a_glo)

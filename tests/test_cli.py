@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -446,6 +449,25 @@ class TestMainEntry:
         assert code == 4
         assert re.search(r"round \d+ stage \d+: client \d+ update is not finite",
                          capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]])
+    def test_huge_finite_noise_exits_4_whatever_the_warnings_filter(self, tmp_path, flags):
+        # The overflow raises inside the client's update, so warnings that
+        # are errors change nothing: no traceback, the protocol exit code.
+        root = Path(__file__).resolve().parents[1]
+        desk = (root / "configs" / "desk.cfg").read_text()
+        path = tmp_path / "noisy.cfg"
+        path.write_text(desk.replace("noise_sigma = 2.5", "noise_sigma = 1e305"))
+        paths = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "gldpsim.cli", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 4, done.stderr
+        assert re.search(r"round 1 stage 1: client \d+ update is not finite", done.stderr)
+        assert "Traceback" not in done.stderr
 
     def test_no_test_data_exit_code(self, tmp_path, capsys):
         # desk.cfg spread over 20 stages: every stage part holds 1-2 samples,

@@ -9,6 +9,7 @@ from gldpsim.errors import ProtocolError
 from gldpsim.metrics import (
     MetricsLog,
     acc_global,
+    acc_global_softmax,
     acc_local,
     acc_local_softmax,
     acc_sel_prototypes,
@@ -29,6 +30,7 @@ from gldpsim.model import (
 from gldpsim.prototypes import predict_batch
 from oracles import (
     reference_acc_global,
+    reference_acc_global_softmax,
     reference_accuracy_prototypes,
     reference_accuracy_softmax,
     reference_predict_batch,
@@ -110,25 +112,98 @@ class TestAccGlobal:
             acc_global(shared, store, [empty], memo=memo)
 
 
+class TestAccGlobalSoftmax:
+    @staticmethod
+    def clients(rng, sizes, classes=3):
+        sets = [labeled(rng.standard_normal((n, 2)), rng.integers(0, classes, n)) for n in sizes]
+        heads = [LayerParams(rng.standard_normal((2, classes)), rng.standard_normal(classes))
+                 for _ in sizes]
+        return sets, heads
+
+    def test_each_client_is_scored_with_its_own_head(self):
+        data = labeled([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        right = LayerParams(np.eye(2), np.zeros(2))
+        wrong = LayerParams(np.eye(2)[::-1], np.zeros(2))
+        value = acc_global_softmax(identity_shared(2), [right, wrong, right], [data] * 3)
+        assert value == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("sets", [0, 1, 3])
+    def test_no_test_data_raises(self, sets):
+        empty = labeled(np.empty((0, 2)), [])
+        heads = [LayerParams(np.eye(2), np.zeros(2))] * sets
+        with pytest.raises(ProtocolError, match="no client's test data can be evaluated"):
+            acc_global_softmax(identity_shared(2), heads, [empty] * sets)
+
+    def test_memo_follows_replaced_and_dropped_test_sets(self):
+        # As for acc_global: the held groups are reused only while every
+        # test set is the held object, and the heads are read every call.
+        rng = np.random.default_rng(5)
+        sets, heads = self.clients(rng, (5, 7, 5))
+        (other,), (other_head,) = self.clients(rng, (7,))
+        empty = labeled(np.empty((0, 2)), [])
+        shared = LayerParams(np.array([[1.0, 0.3], [0.2, 1.0]]), np.zeros(2))
+        memo: dict = {}
+
+        def check(given_sets, given_heads):
+            models = [ModelParams(shared, h) for h in given_heads]
+            assert (acc_global_softmax(shared, given_heads, given_sets, memo=memo)
+                    == reference_acc_global_softmax(models, given_sets))
+
+        for given_sets, given_heads in (
+            (sets, heads), (sets, heads), (sets, heads[::-1]), (sets[:2], heads[:2]),
+            (sets, heads), ([sets[0], other, sets[2]], [heads[0], other_head, heads[2]]),
+            ([*sets[:2], empty], heads), ([empty, other], heads[:2]), (sets, heads),
+        ):
+            check(given_sets, given_heads)
+        with pytest.raises(ProtocolError, match="no client's test data can be evaluated"):
+            acc_global_softmax(shared, heads[:1], [empty], memo=memo)
+
+
+class TestStackedMatmul:
+    """A_glo's bit-identity rests on numpy's matmul over a (g, M, K) stack
+    equalling the g per-slice matmuls bit for bit. The shapes are desk's
+    (input_dim, hidden_dim) and (hidden_dim, num_classes)."""
+
+    @pytest.mark.parametrize("g", [1, 2, 7])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65])
+    @pytest.mark.parametrize("inner, outer", [(16, 64), (64, 10)])
+    def test_stack_equals_each_slice(self, inner, outer, rows, g):
+        rng = np.random.default_rng([inner, rows, g])
+        stack = rng.standard_normal((g, rows, inner))
+        weight = rng.standard_normal((inner, outer))
+        weights = rng.standard_normal((g, inner, outer))
+        message = ("a stacked matmul differs from its per-slice matmuls on this platform, "
+                   "so grouped A_glo is no longer bit-identical to scoring each client alone")
+        assert np.array_equal(stack @ weight, np.stack([s @ weight for s in stack])), message
+        assert np.array_equal(stack @ weights,
+                              np.stack([s @ w for s, w in zip(stack, weights)])), message
+
+
 # Test-set sizes on either side of predict_batch's 64-row block.
 BLOCK_EDGE_SIZES = (0, 1, 63, 64, 65, 130)
 
 
 @st.composite
 def scoring_cases(draw):
-    """(shared layer, store, test sets) for the one-pass A_glo.
+    """(shared layer, store, heads, test sets) for the grouped A_glo.
 
-    Some store classes repeat another's vector (ties), and inputs, stores
-    or both may sit near 1e200, where squared gaps overflow to inf.
+    Test-set sizes come from a small pool, so sets of one size repeat and
+    size groups have several members. Some store classes repeat another's
+    vector (ties), and inputs, stores or both may sit near 1e200, where
+    squared gaps overflow to inf. The heads are one per client, or one
+    object for all, as a server head is.
     """
     dim = draw(st.integers(1, 70))
     in_dim = draw(st.integers(1, 6))
     classes = draw(st.lists(st.integers(0, 15), min_size=1, max_size=8, unique=True))
-    sizes = draw(st.lists(st.sampled_from(BLOCK_EDGE_SIZES), min_size=1, max_size=4))
+    pool = draw(st.lists(st.sampled_from(BLOCK_EDGE_SIZES + (2, 3)), min_size=1, max_size=3,
+                         unique=True))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
     input_scale = draw(st.sampled_from([1.0, 1e200]))
     store_scales = draw(st.lists(st.sampled_from([1.0, 1e150, 1e200]),
                                  min_size=len(classes), max_size=len(classes)))
     twins = draw(st.lists(st.sampled_from(classes), max_size=3))
+    one_head = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shared = LayerParams(rng.standard_normal((in_dim, dim)), rng.standard_normal(dim))
     store = {c: rng.standard_normal(dim) * scale for c, scale in zip(classes, store_scales)}
@@ -137,15 +212,22 @@ def scoring_cases(draw):
     labels = [*classes, max(classes) + 1]  # one label the store cannot predict
     test_sets = [labeled(rng.standard_normal((n, in_dim)) * input_scale, rng.choice(labels, n))
                  for n in sizes]
-    return shared, store, test_sets
+    outputs = max(labels) + 1
+
+    def head():
+        return LayerParams(rng.standard_normal((dim, outputs)), rng.standard_normal(outputs))
+
+    heads = [head()] * len(sizes) if one_head else [head() for _ in sizes]
+    return shared, store, heads, test_sets
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestOnePassMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(scoring_cases())
     def test_predict_batch(self, case):
-        shared, store, test_sets = case
+        shared, store, _, test_sets = case
         for ts in test_sets:
             embeddings = embed(shared, ts.inputs)
             got, want = predict_batch(embeddings, store), reference_predict_batch(embeddings, store)
@@ -156,12 +238,24 @@ class TestOnePassMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(scoring_cases())
     def test_acc_global(self, case):
-        shared, store, test_sets = case
+        shared, store, _, test_sets = case
         if not any(len(ts) for ts in test_sets):
             with pytest.raises(ProtocolError):
                 acc_global(shared, store, test_sets)
             return
         assert acc_global(shared, store, test_sets) == reference_acc_global(shared, store, test_sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_acc_global_softmax(self, case):
+        shared, _, heads, test_sets = case
+        models = [ModelParams(shared, head) for head in heads]
+        if not any(len(ts) for ts in test_sets):
+            with pytest.raises(ProtocolError):
+                acc_global_softmax(shared, heads, test_sets)
+            return
+        assert (acc_global_softmax(shared, heads, test_sets)
+                == reference_acc_global_softmax(models, test_sets))
 
 
 class TestAccLocal:
