@@ -279,7 +279,8 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     until each class has at least one assignee; ``ExperimentConfig`` checks
     that the plan can cover the classes); each class's samples are split
     disjointly among its assignees; each client's share is then spread
-    over its stages, with an 80/20 train/test split per stage.
+    over its stages, with an 80/20 train/test split per stage. The stage
+    sets are read-only row slices of one gathered pair of arrays.
     A stage left without training samples is tolerated here, and the
     training protocol skips it; one warning per partition names every such
     (client, stage) pair. A partition in which no client holds any test
@@ -313,45 +314,47 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
         for j, holder in enumerate(holders):
             shares[holder][c] = parts[(j + roll) % len(holders)]
 
+    # Deal each share to its client's stages; a part is a slice of its
+    # class permutation, recorded with its (client, stage) slot.
+    parts: list[np.ndarray] = []
+    slots: list[int] = []
+    stage_classes = []
+    for i in range(n):
+        effective = [c for c in map(int, assignments[i]) if shares[i][c].size > 0]
+        if not effective:
+            raise DataError(f"client {i} received no samples for any of its classes")
+        stage_classes.append(_stage_class_sets(effective, m))
+        for c in effective:
+            with_c = [j for j in range(m) if c in stage_classes[i][j]]
+            chunk_parts = _split(shares[i][c], len(with_c))
+            roll = int(rng.integers(len(with_c))) if len(with_c) > 1 else 0
+            for j, stage_j in enumerate(with_c):
+                part = chunk_parts[(j + roll) % len(with_c)]
+                if part.size:
+                    parts.append(part)
+                    slots.append(i * m + stage_j)
+
+    # Cut every part 80/20 and order all rows by (slot, train before test)
+    # with a stable sort, so a stage's parts keep the client's class order.
+    # One gather then holds every stage's rows; stage sets are slices of it.
+    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    n_train = np.maximum(1, np.floor(_TRAIN_FRACTION * sizes + 0.5).astype(np.int64))
+    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    key = np.repeat(2 * np.array(slots), sizes) + (within >= np.repeat(n_train, sizes))
+    rows = np.concatenate(parts)[np.argsort(key, kind="stable")]
+    pool = _read_only(data.subset(rows))
+    cuts = [0, *np.cumsum(np.bincount(key, minlength=2 * n * m)).tolist()]
+
     timelines = []
     empty: list[str] = []
     for i in range(n):
-        drawn_order = [int(c) for c in assignments[i]]
-        effective = [c for c in drawn_order if shares[i][c].size > 0]
-        if not effective:
-            raise DataError(f"client {i} received no samples for any of its classes")
-        stage_classes = _stage_class_sets(effective, m)
-
-        per_stage: list[list[np.ndarray]] = [[] for _ in range(m)]
-        for c in effective:
-            with_c = [j for j in range(m) if c in stage_classes[j]]
-            chunk = shares[i][c]
-            parts = _split(chunk, len(with_c))
-            roll = int(rng.integers(len(with_c))) if len(with_c) > 1 else 0
-            for j, stage_j in enumerate(with_c):
-                part = parts[(j + roll) % len(with_c)]
-                if part.size:
-                    per_stage[stage_j].append(part)
-
         stages = []
         for j in range(m):
-            train_parts, test_parts = [], []
-            for part in per_stage[j]:
-                n_train = max(1, int(math.floor(_TRAIN_FRACTION * part.size + 0.5)))
-                train_parts.append(part[:n_train])
-                test_parts.append(part[n_train:])
-            train_idx = np.concatenate(train_parts) if train_parts else np.empty(0, dtype=np.int64)
-            test_idx = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
-            if train_idx.size == 0:
+            lo, mid, hi = cuts[2 * (i * m + j):2 * (i * m + j) + 3]
+            if lo == mid:
                 empty.append(f"{i}:{j + 1}")
-            stages.append(
-                StageTask(
-                    stage_index=j + 1,
-                    train=data.subset(train_idx),
-                    test=data.subset(test_idx),
-                    class_set=frozenset(stage_classes[j]),
-                )
-            )
+            train, test = pool.subset(slice(lo, mid)), pool.subset(slice(mid, hi))
+            stages.append(StageTask(j + 1, train, test, frozenset(stage_classes[i][j])))
         timelines.append(ClientTimeline(client_id=i, stages=stages))
     if empty:
         log.warning("%d of %d stages have no training samples and are skipped (client:stage): %s",

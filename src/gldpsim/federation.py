@@ -482,9 +482,9 @@ def audit_message_log(
                                 f"message {i}: key {key!r} carries raw {part_name} inputs"
                             )
                         if (
-                            np.issubdtype(array.dtype, np.integer)
-                            and array.shape == part.labels.shape
+                            array.shape == part.labels.shape
                             and array.size
+                            and np.issubdtype(array.dtype, np.integer)
                             and np.array_equal(array, part.labels)
                         ):
                             violations.append(

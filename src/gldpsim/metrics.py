@@ -149,24 +149,27 @@ def acc_global_softmax(
     """Mean per-client softmax accuracy of ``shared`` with each client's head.
 
     Groups and ``memo`` as in :func:`acc_global`; each group's logits are
-    one matmul of its embedding stack with its clients' stacked heads. The
-    heads are stacked once, in group order, so each group's are one slice
-    (one concatenation and a reshape: ``np.stack`` costs more per array).
+    one matmul of its embedding stack with its clients' heads. One head
+    object for every client (a server head) meets each stack as it is.
+    Otherwise the heads are stacked once, in group order, so each group's
+    are one slice (one concatenation and a reshape: ``np.stack`` costs more
+    per array).
     """
     memo = {} if memo is None else memo
     groups = _reuse(memo, "groups", [], tuple(test_sets), lambda: _size_groups(test_sets))
     if not groups:
         return _mean([])
-    order = [i for positions, _, _ in groups for i in positions]
-    weights = np.concatenate([heads[i].weight for i in order]).reshape(
-        len(order), shared.weight.shape[1], -1)
-    biases = np.concatenate([heads[i].bias for i in order]).reshape(len(order), 1, -1)
-    hits, start = [], 0
-    for positions, inputs, labels in groups:
-        stop = start + len(positions)
-        logits = embed(shared, inputs) @ weights[start:stop] + biases[start:stop]
-        hits.append(logits.argmax(axis=2) == labels)
-        start = stop
+    if all(head is heads[0] for head in heads):
+        group_heads = [(heads[0].weight, heads[0].bias)] * len(groups)
+    else:
+        order = [i for positions, _, _ in groups for i in positions]
+        weights = np.concatenate([heads[i].weight for i in order]).reshape(
+            len(order), shared.weight.shape[1], -1)
+        biases = np.concatenate([heads[i].bias for i in order]).reshape(len(order), 1, -1)
+        bounds = np.cumsum([0, *(len(positions) for positions, _, _ in groups)]).tolist()
+        group_heads = [(weights[a:b], biases[a:b]) for a, b in zip(bounds, bounds[1:])]
+    hits = [(embed(shared, inputs) @ weight + bias).argmax(axis=2) == labels
+            for (_, inputs, labels), (weight, bias) in zip(groups, group_heads)]
     return _group_mean(groups, hits, len(test_sets))
 
 

@@ -7,9 +7,11 @@ Run it on two trees (or twice on one) and diff the outputs:
 It covers the 28 desk CSVs (`--algorithm {GLDP,FedAvg,FedRep,FedProx}
 --seeds 0,1`, `--ablation --seeds 0`, `--inference gp --seeds 0`), the 6
 manifest config hashes of those runs, the 8 message dumps (6 desk rounds x
-4 algorithms x seeds 0,1), the one-stage desk CSV and desk_large seed 0
-for GLDP and FedRep. Digests hold on one platform only. pytest does not
-collect this file; a run takes about half a minute.
+4 algorithms x seeds 0,1), the one-stage desk CSV, desk_large seed 0
+for GLDP and FedRep, and the stage sets of the population-size partition
+(desk with 500 clients and 5000 samples per class, seed 0). Digests hold
+on one platform only. pytest does not collect this file; a run takes
+about half a minute.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from gldpsim import cli
+from gldpsim.datagen import apply_longtail, make_synthetic_dataset, partition_clients
 from gldpsim.federation import ALGORITHMS, dump_message_log, initialize_experiment, run_round
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +54,22 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def partition_digest() -> str:
+    """sha256 over every stage's train and test inputs and labels, in client
+    and stage order, of the population-size partition at seed 0."""
+    desk = cli.parse_config(DESK)
+    plan = replace(desk.plan, num_clients=500)
+    data = make_synthetic_dataset(replace(desk.dataset, samples_per_class=5000), 0)
+    sha = hashlib.sha256()
+    for timeline in partition_clients(apply_longtail(data, plan.imbalance_factor, 0), plan, 0):
+        for stage in timeline.stages:
+            for part in (stage.train, stage.test):
+                for array in (part.inputs, part.labels):
+                    sha.update(repr(array.shape).encode())
+                    sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -76,6 +95,7 @@ def main() -> None:
                 dump = work / f"messages-{alg}-seed{seed}.jsonl"
                 dump_message_log(log, dump)
                 print(f"{digest(dump)}  {dump.name}")
+    print(f"{partition_digest()}  partition-population-seed0")
 
 
 if __name__ == "__main__":

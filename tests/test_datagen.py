@@ -433,6 +433,42 @@ class TestPartitionMatchesReference:
             assert np.array_equal(g, w)
 
 
+class TestPartitionFailsLikeReference:
+    @pytest.mark.parametrize("seed", [90, 554, 555, 667])
+    def test_unbuildable_desk_seed_raises_the_reference_error(self, seed):
+        config = parse_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
+        data = apply_longtail(make_synthetic_dataset(config.dataset, seed),
+                              config.plan.imbalance_factor, seed)
+        messages = []
+        pattern = r"^client \d+ received no samples for any of its classes$"
+        for partition in (partition_clients, reference_partition_clients):
+            with pytest.raises(DataError, match=pattern) as info:
+                partition(data, config.plan, seed)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+class TestStageLayout:
+    """Every stage's sets are read-only row slices of one gathered pair."""
+
+    def test_stage_arrays_are_read_only_contiguous_views_of_one_base(self):
+        parts = [part for t in desk_timelines(0) for stage in t.stages
+                 for part in (stage.train, stage.test)]
+        for name in ("inputs", "labels"):
+            arrays = [getattr(part, name) for part in parts]
+            base = arrays[0].base
+            assert base is not None and base.base is None
+            for array in arrays:
+                assert not array.flags.writeable, name
+                assert array.flags.c_contiguous, name
+                assert array.base is base, name
+
+    def test_writing_into_stage_inputs_raises(self):
+        stage = next(s for t in desk_timelines(0) for s in t.stages if len(s.train))
+        with pytest.raises(ValueError, match="read-only"):
+            stage.train.inputs[0, 0] = 1.0
+
+
 class TestDeskTestCoverage:
     def test_desk_test_rows_are_classes_0_to_3(self):
         # A (client, stage) class part of 1-2 samples goes wholly to

@@ -161,11 +161,13 @@ class TestAccGlobalSoftmax:
 
 class TestStackedMatmul:
     """A_glo's bit-identity rests on numpy's matmul over a (g, M, K) stack
-    equalling the g per-slice matmuls bit for bit. The shapes are desk's
-    (input_dim, hidden_dim) and (hidden_dim, num_classes)."""
+    equalling the g per-slice matmuls bit for bit, whether the right operand
+    is one 2-D matrix (the embedding layer, a server head) or a stack of
+    them (per-client heads). The shapes are desk's (input_dim, hidden_dim)
+    and (hidden_dim, num_classes)."""
 
-    @pytest.mark.parametrize("g", [1, 2, 7])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 63, 64, 65])
+    @pytest.mark.parametrize("g", [1, 2, 7, 30])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 11, 63, 64, 65, 130])
     @pytest.mark.parametrize("inner, outer", [(16, 64), (64, 10)])
     def test_stack_equals_each_slice(self, inner, outer, rows, g):
         rng = np.random.default_rng([inner, rows, g])
