@@ -119,10 +119,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         return _values_to_config(values)
     except ConfigError as exc:
         # Range checks name the dataclass field first; report the key instead.
-        field_name, _, rest = str(exc).partition(" ")
-        key = _FIELD_KEYS.get(field_name)
+        key = _FIELD_KEYS.get(exc.field)
         if key is None:
             raise ConfigError(f"{path}: {exc}") from exc
+        rest = str(exc).removeprefix(f"{exc.field} ")
         if key == "clients_per_round" and key not in key_lines and "num_clients" in key_lines:
             # Only the num_clients the file set can put the default out of range.
             key = "num_clients"

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require
 from .prototypes import compute_counts
 
 log = logging.getLogger(__name__)
@@ -31,11 +31,6 @@ _TAG_PARTITION = 31
 _TRAIN_FRACTION = 0.8
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """Recipe for a balanced synthetic classification dataset."""
@@ -47,17 +42,13 @@ class DatasetSpec:
     noise_sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.num_classes >= 2, f"num_classes must be >= 2, got {self.num_classes}")
-        _require(self.input_dim >= 2, f"input_dim must be >= 2, got {self.input_dim}")
-        _require(
-            self.samples_per_class >= 1,
-            f"samples_per_class must be >= 1, got {self.samples_per_class}",
-        )
-        _require(
-            self.class_center_scale > 0,
-            f"class_center_scale must be positive, got {self.class_center_scale}",
-        )
-        _require(self.noise_sigma > 0, f"noise_sigma must be positive, got {self.noise_sigma}")
+        require(self.num_classes >= 2, "num_classes", f"must be >= 2, got {self.num_classes}")
+        require(self.input_dim >= 2, "input_dim", f"must be >= 2, got {self.input_dim}")
+        require(self.samples_per_class >= 1, "samples_per_class",
+                f"must be >= 1, got {self.samples_per_class}")
+        require(self.class_center_scale > 0, "class_center_scale",
+                f"must be positive, got {self.class_center_scale}")
+        require(self.noise_sigma > 0, "noise_sigma", f"must be positive, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +81,12 @@ class PartitionPlan:
     imbalance_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.num_clients >= 1, f"num_clients must be >= 1, got {self.num_clients}")
-        _require(
-            self.classes_per_client >= 1,
-            f"classes_per_client must be >= 1, got {self.classes_per_client}",
-        )
-        _require(self.num_stages >= 1, f"num_stages must be >= 1, got {self.num_stages}")
-        _require(
-            self.imbalance_factor >= 1,
-            f"imbalance_factor must be >= 1, got {self.imbalance_factor}",
-        )
+        require(self.num_clients >= 1, "num_clients", f"must be >= 1, got {self.num_clients}")
+        require(self.classes_per_client >= 1, "classes_per_client",
+                f"must be >= 1, got {self.classes_per_client}")
+        require(self.num_stages >= 1, "num_stages", f"must be >= 1, got {self.num_stages}")
+        require(self.imbalance_factor >= 1, "imbalance_factor",
+                f"must be >= 1, got {self.imbalance_factor}")
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,21 @@ class SimulationError(Exception):
 
 
 class ConfigError(SimulationError):
-    """Invalid configuration value or malformed config file."""
+    """Invalid configuration value or malformed config file; ``field`` is
+    the dataclass field a range check names."""
 
     exit_code = 2
     label = "configuration error"
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def require(ok: bool, field: str, rest: str) -> None:
+    """A range check: unless ``ok``, raise ``ConfigError(f"{field} {rest}", field)``."""
+    if not ok:
+        raise ConfigError(f"{field} {rest}", field)
 
 
 class DataError(SimulationError):

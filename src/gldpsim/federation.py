@@ -39,7 +39,7 @@ from .datagen import (
     make_synthetic_dataset,
     partition_clients,
 )
-from .errors import ConfigError, ProtocolError
+from .errors import ProtocolError, require
 from .metrics import (
     A_GLOBAL,
     A_LOCAL,
@@ -174,40 +174,27 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
-            )
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be positive, got {self.rounds}")
-        if not 1 <= self.clients_per_round <= self.plan.num_clients:
-            raise ConfigError(
-                f"clients_per_round must be in [1, {self.plan.num_clients}], "
-                f"got {self.clients_per_round}"
-            )
+        require(self.algorithm in ALGORITHMS, "algorithm",
+                f"must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        require(self.rounds >= 1, "rounds", f"must be positive, got {self.rounds}")
+        clients = self.plan.num_clients
+        require(1 <= self.clients_per_round <= clients, "clients_per_round",
+                f"must be in [1, {clients}], got {self.clients_per_round}")
         # The partition limits: the one check that sees dataset and plan together.
         classes, per_client = self.dataset.num_classes, self.plan.classes_per_client
-        if per_client > classes:
-            raise ConfigError(
-                f"classes_per_client must be at most num_classes ({classes}), got {per_client}"
-            )
-        if self.plan.num_clients * per_client < classes:
-            raise ConfigError(
-                f"num_clients x classes_per_client ({self.plan.num_clients} x {per_client}) "
-                f"must cover num_classes ({classes})"
-            )
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be positive, got {self.embedding_dim}")
-        if not 0.0 <= self.proto_momentum <= 1.0:
-            raise ConfigError(f"proto_momentum must be in [0, 1], got {self.proto_momentum}")
-        if self.fedprox_coeff < 0:
-            raise ConfigError(f"fedprox_coeff must be non-negative, got {self.fedprox_coeff}")
-        if self.inference_mode not in INFERENCE_MODES:
-            raise ConfigError(
-                f"inference_mode must be one of {INFERENCE_MODES}, got {self.inference_mode!r}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        require(per_client <= classes, "classes_per_client",
+                f"must be at most num_classes ({classes}), got {per_client}")
+        require(clients * per_client >= classes, "num_clients",
+                f"x classes_per_client ({clients} x {per_client}) must cover num_classes ({classes})")
+        require(self.embedding_dim >= 1, "embedding_dim",
+                f"must be positive, got {self.embedding_dim}")
+        require(0.0 <= self.proto_momentum <= 1.0, "proto_momentum",
+                f"must be in [0, 1], got {self.proto_momentum}")
+        require(not self.fedprox_coeff < 0, "fedprox_coeff",
+                f"must be non-negative, got {self.fedprox_coeff}")
+        require(self.inference_mode in INFERENCE_MODES, "inference_mode",
+                f"must be one of {INFERENCE_MODES}, got {self.inference_mode!r}")
+        require(self.seed >= 0, "seed", f"must be a non-negative integer, got {self.seed}")
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """Re-key every seeded component of the experiment."""
@@ -388,6 +375,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
     a timeline never changes within a run.
     """
     server, clients = initialize_experiment(config)
+    initial, every_class = server.shared, frozenset(range(config.dataset.num_classes))
     mlog = MetricsLog()
     algorithm = config.algorithm
     stage_count = config.plan.num_stages
@@ -402,6 +390,13 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
             client.local_protos, server.global_protos, config.inference_mode,
             scope=client.timeline.classes,
         )
+
+    def local_model(client: ClientState) -> tuple:
+        """``(shared, store)``; a never-trained client gives its scope instead,
+        and ``acc_local`` scores those with the global store as one block."""
+        if client.params.shared is not initial or client.local_protos:
+            return client.params.shared, store(client)
+        return initial, every_class if config.inference_mode == "gp" else client.timeline.classes
 
     def log(round_index: int, stage_index: int, metric: str, values: dict) -> None:
         """One row per client, then the ALL mean when there is any."""
@@ -433,8 +428,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
         log(round_index, stage_count, FORGETTING, drops)
         if algorithm == "GLDP":
             a_glo = acc_global(server.shared, server.global_protos, test_sets, memo=a_glo_memo)
-            models = [(clients[c].params.shared, store(clients[c])) for c in order]
-            a_loc = acc_local(models, test_sets, memo=a_loc_memo)
+            models = [local_model(clients[c]) for c in order]
+            a_loc = acc_local(models, test_sets, global_protos=server.global_protos,
+                              memo=a_loc_memo)
         else:
             # FedRep's server holds no head: each client's own stands in.
             heads = [server.head or clients[c].params.head for c in order]

@@ -189,18 +189,68 @@ def _reuse(memo: dict, key, classes: list[int], inputs: tuple, compute):
     return held[2]
 
 
+def _score_block(members: list[tuple], global_protos: dict[int, np.ndarray], memo: dict) -> list:
+    """Hit rate, or None for an empty store, of each ``(position, shared, test
+    set, scope)`` in ``members`` (test sets not empty) with the ``global_protos`` of its scope.
+
+    ``memo["block"]`` holds the members' embedded rows, labels, sizes and scope mask;
+    leavers drop their rows, a new or changed member rebuilds it. Distances keep
+    :func:`predict_batch`'s ops, so its bits, with +inf outside a row's scope; the argmin
+    over ascending classes breaks ties to the lowest class, as there.
+    """
+    held = memo.get("block")
+    index = {(i, id(a), id(b), s): k for k, (i, a, b, s) in enumerate(held[0] if held else ())}
+    keep = [index.get((i, id(a), id(b), s)) for i, a, b, s in members]
+    if None in keep:
+        sizes = np.array([len(m[2]) for m in members])
+        embedded = np.empty((sizes.sum(), members[0][1].weight.shape[1]))
+        for m, end in zip(members, np.cumsum(sizes).tolist()):  # no second copy of the rows
+            embedded[end - len(m[2]):end] = embed(m[1], m[2].inputs)
+        width = 1 + max((c for m in members for c in m[3]), default=-1)
+        held = (members, embedded, np.concatenate([m[2].labels for m in members]), sizes,
+                np.repeat([[c in m[3] for c in range(width)] for m in members], sizes, axis=0))
+    elif len(keep) < len(held[0]):
+        kept = np.isin(np.arange(len(held[0])), keep)
+        rows = np.repeat(kept, held[3])
+        held = (members, held[1][rows], held[2][rows], held[3][kept], held[4][rows])
+    _, embedded, labels, sizes, mask = memo["block"] = held
+    classes = [c for c in sorted(global_protos) if c < mask.shape[1]]
+    if not classes:
+        return [None] * len(members)
+    in_store = mask[:, classes]
+    distances = np.full(in_store.shape, np.inf)
+    for j, c in enumerate(classes):
+        rows = np.flatnonzero(in_store[:, j])
+        gaps = embedded[rows]  # a copy, so the subtraction runs in place
+        gaps -= global_protos[c]
+        gaps *= gaps
+        distances[rows, j] = np.sqrt(gaps.sum(axis=-1))
+        del gaps  # before the next class's copy
+    picks = distances.argmin(axis=1)
+    # Where every in-store distance is +inf, predict_batch takes the lowest class in store.
+    stranded = np.isinf(distances[np.arange(len(picks)), picks])
+    picks[stranded] = in_store[stranded].argmax(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    hits = np.add.reduceat(np.array(classes)[picks] == labels, starts)
+    return [rate if any_held else None for rate, any_held
+            in zip((hits / sizes).tolist(), in_store[starts].any(axis=1).tolist())]
+
+
 def acc_local(
-    models: Sequence[tuple[LayerParams, dict[int, np.ndarray]]], test_sets: Sequence[LabeledSet],
-    *, memo: dict | None = None,
+    models: Sequence[tuple[LayerParams, dict[int, np.ndarray] | frozenset[int]]],
+    test_sets: Sequence[LabeledSet],
+    *, global_protos: dict[int, np.ndarray] | None = None, memo: dict | None = None,
 ) -> float:
     """Mean accuracy of each personalized model on its own test data.
 
-    Clients whose resolved store is still empty (never trained, nothing
-    global to fall back on) are skipped. ``memo`` carries each position's
-    value to the next call, until its shared layer, test set or store
-    vectors are replaced. It also holds each non-empty test set's embedding,
-    under ``("embedded", position)``, which a miss that replaced only store
-    vectors scores instead of embedding the rows again.
+    A model is ``(shared, store)``, or ``(shared, scope)`` for a client whose
+    store is the ``global_protos`` vectors of the frozenset ``scope`` (a
+    never-trained GLDP client): :func:`_score_block` scores those as one block.
+    Clients whose resolved store is empty are skipped. ``memo`` carries each
+    other position's value to the next call, until its shared layer, test
+    set or store vectors are replaced. It also holds each non-empty test
+    set's embedding, under ``("embedded", position)``, which a miss that
+    replaced only store vectors scores instead of embedding the rows again.
     """
     memo = {} if memo is None else memo
 
@@ -209,11 +259,20 @@ def acc_local(
                           lambda: embed(shared, ts.inputs)) if len(ts) else None
         return accuracy_prototypes(shared, store, ts, embedded=embedded)
 
-    values = []
+    values, members = [], []
     for i, ((shared, store), ts) in enumerate(zip(models, test_sets)):
+        if isinstance(store, frozenset):
+            values.append(None)
+            members += [(i, shared, ts, store)] if len(ts) else []
+            continue
         classes = sorted(store)
         values.append(_reuse(memo, i, classes, (shared, ts, *(store[c] for c in classes)),
                              lambda: score(i, shared, store, ts)))
+    if members:
+        for (i, *_), value in zip(members, _score_block(members, global_protos or {}, memo)):
+            values[i] = value
+    else:
+        memo.pop("block", None)
     return _mean(values)
 
 

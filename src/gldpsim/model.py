@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import StageTask
-from .errors import ConfigError, DataError
+from .errors import DataError, require
 from .prototypes import compute as compute_prototypes
 
 
@@ -56,16 +56,13 @@ class OptimizerConfig:
     batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.step_size < 0:
-            raise ConfigError(f"step_size must be non-negative, got {self.step_size}")
-        if self.shared_epochs < 1:
-            raise ConfigError(f"shared_epochs must be positive, got {self.shared_epochs}")
-        if self.head_epochs < 1:
-            raise ConfigError(f"head_epochs must be positive, got {self.head_epochs}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        require(not self.step_size < 0, "step_size", f"must be non-negative, got {self.step_size}")
+        require(self.shared_epochs >= 1, "shared_epochs",
+                f"must be positive, got {self.shared_epochs}")
+        require(self.head_epochs >= 1, "head_epochs", f"must be positive, got {self.head_epochs}")
+        require(not self.weight_decay < 0, "weight_decay",
+                f"must be non-negative, got {self.weight_decay}")
+        require(self.batch_size >= 1, "batch_size", f"must be positive, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +78,10 @@ class LossWeights:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.relation_mix <= 1.0:
-            raise ConfigError(f"relation_mix must be in [0, 1], got {self.relation_mix}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        require(0.0 <= self.relation_mix <= 1.0, "relation_mix",
+                f"must be in [0, 1], got {self.relation_mix}")
+        require(not self.temperature <= 0, "temperature",
+                f"must be positive, got {self.temperature}")
 
     @property
     def local_coeff(self) -> float:

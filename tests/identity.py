@@ -8,10 +8,11 @@ It covers the 28 desk CSVs (`--algorithm {GLDP,FedAvg,FedRep,FedProx}
 --seeds 0,1`, `--ablation --seeds 0`, `--inference gp --seeds 0`), the 6
 manifest config hashes of those runs, the 8 message dumps (6 desk rounds x
 4 algorithms x seeds 0,1), the one-stage desk CSV, desk_large seed 0
-for GLDP and FedRep, and the stage sets of the population-size partition
-(desk with 500 clients and 5000 samples per class, seed 0). Digests hold
-on one platform only. pytest does not collect this file; a run takes
-about half a minute.
+for GLDP and FedRep, the stage sets of the population-size partition
+(desk with 500 clients and 5000 samples per class, seed 0), and that
+population's 10-round GLDP CSV under lp and under gp inference: 54 lines.
+Digests hold on one platform only. pytest does not collect this file; a
+run takes about half a minute.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from pathlib import Path
 
 from gldpsim import cli
 from gldpsim.datagen import apply_longtail, make_synthetic_dataset, partition_clients
-from gldpsim.federation import ALGORITHMS, dump_message_log, initialize_experiment, run_round
+from gldpsim.federation import (
+    ALGORITHMS,
+    dump_message_log,
+    initialize_experiment,
+    run_experiment,
+    run_round,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DESK = ROOT / "configs" / "desk.cfg"
@@ -70,6 +77,18 @@ def partition_digest() -> str:
     return sha.hexdigest()
 
 
+def population_digest(work: Path, mode: str) -> str:
+    """sha256 of the GLDP CSV of the population-size run (the partition
+    above), 10 rounds at seed 0, under inference ``mode``."""
+    desk = cli.parse_config(DESK)
+    config = replace(desk, rounds=10, inference_mode=mode,
+                     plan=replace(desk.plan, num_clients=500),
+                     dataset=replace(desk.dataset, samples_per_class=5000)).with_seed(0)
+    path = work / f"population_gldp_{mode}_seed0.csv"
+    run_experiment(config).to_csv(path)
+    return digest(path)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -96,6 +115,10 @@ def main() -> None:
                 dump_message_log(log, dump)
                 print(f"{digest(dump)}  {dump.name}")
     print(f"{partition_digest()}  partition-population-seed0")
+    # Most population clients never train, so these runs score A_loc's block.
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in ("lp", "gp"):
+            print(f"{population_digest(Path(tmp), mode)}  population_gldp_{mode}_seed0.csv")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from gldpsim.metrics import (
     A_SELECTED,
     FORGETTING,
     MetricsLog,
-    acc_local,
     acc_local_softmax,
     acc_sel_prototypes,
     acc_sel_softmax,
@@ -237,6 +236,17 @@ def reference_acc_global(shared, global_protos, test_sets):
     ])
 
 
+def reference_acc_local(models, test_sets):
+    """Mean over clients with test data and a non-empty resolved store of
+    each client's hit rate with its own ``(shared, store)``, scored client
+    by client with :func:`reference_predict_batch`; no memo."""
+    return _reference_client_mean([
+        float((reference_predict_batch(embed(shared, ts.inputs), store) == ts.labels).mean())
+        for (shared, store), ts in zip(models, test_sets)
+        if len(ts) and store
+    ])
+
+
 def reference_acc_global_softmax(params_per_client, test_sets):
     """Mean over clients with test data of the softmax hit rate of the model
     given for each client, scored client by client."""
@@ -424,8 +434,9 @@ def reference_partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int
 
 # The evaluation as it was while four pieces shared it (run_experiment, its
 # per-round closure, _client_sel_accuracy and _log_round_metrics), verbatim
-# but for the names and for A_glo, which is scored client by client: the
-# single-place evaluation, with its grouped A_glo, must log the same rows.
+# but for the names and for A_glo and A_loc, which are scored client by
+# client without a memo: the single-place evaluation, with its grouped A_glo
+# and its block of never-trained clients in A_loc, must log the same rows.
 def _reference_client_store(
     client: ClientState, server: ServerState, config: ExperimentConfig
 ) -> dict[int, np.ndarray]:
@@ -462,7 +473,7 @@ def _reference_log_round_metrics(
         a_glo = reference_acc_global(server.shared, server.global_protos, test_sets)
         models = [(clients[c].params.shared, _reference_client_store(clients[c], server, config))
                   for c in order]
-        a_loc = acc_local(models, test_sets, memo=a_loc_memo)
+        a_loc = reference_acc_local(models, test_sets)
     else:
         if algorithm in PERSONALIZED_ALGORITHMS:  # FedRep: each client's own head
             global_models = [ModelParams(server.shared, clients[c].params.head) for c in order]

@@ -27,10 +27,11 @@ from gldpsim.model import (
     init_params,
     local_update,
 )
-from gldpsim.prototypes import predict_batch
+from gldpsim.prototypes import inference_store, predict_batch
 from oracles import (
     reference_acc_global,
     reference_acc_global_softmax,
+    reference_acc_local,
     reference_accuracy_prototypes,
     reference_accuracy_softmax,
     reference_predict_batch,
@@ -457,6 +458,104 @@ class TestALocMemo:
                 if len(data[i]):
                     assert (acc_local(models[i:i + 1], data[i:i + 1], memo=memos[i])
                             == acc_local(models[i:i + 1], data[i:i + 1]))
+
+
+@st.composite
+def block_calls(draw):
+    """A_loc calls that share one memo, as run_experiment makes them.
+
+    Each call is ``(models, test_sets, global store, resolved models)``.
+    A client starts never-trained, with the one initial layer and a scope
+    (lp: a random class set, which may hold no global class; gp: every
+    class), or trained, with its own layer and resolved store; between
+    calls, never-trained clients may train and leave the block, and test
+    sets may be replaced. Global stores hold twin vectors (exact ties) and
+    may sit near 1e200, where every squared gap overflows to inf.
+    """
+    mode = draw(st.sampled_from(["lp", "gp"]))
+    num_classes, dim = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    in_dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def layer():
+        return LayerParams(rng.standard_normal((in_dim, dim)), rng.standard_normal(dim))
+
+    def test_set():
+        rows = draw(st.sampled_from([0, 0, 1, 2, 3, 7]))
+        return labeled(rng.standard_normal((rows, in_dim)), rng.integers(0, num_classes, rows))
+
+    def class_set():
+        return frozenset(draw(st.sets(st.integers(0, num_classes - 1))))
+
+    def vectors(classes, scale):
+        return {c: rng.standard_normal(dim) * scale for c in sorted(classes)}
+
+    initial, every_class = layer(), frozenset(range(num_classes))
+    count = draw(st.integers(1, 7))
+    test_sets = [test_set() for _ in range(count)]
+    trained = {i: (layer(), vectors(class_set(), 1.0))
+               for i in range(count) if draw(st.booleans())}
+    scopes = [every_class if mode == "gp" else class_set() for _ in range(count)]
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        glob = vectors(class_set(), draw(st.sampled_from([1.0, 1.0, 1e200])))
+        for c in draw(st.lists(st.sampled_from(sorted(glob)), max_size=3)) if glob else []:
+            glob[c] = glob[min(glob)]
+        models, resolved = [], []
+        for i in range(count):
+            if i in trained:
+                store = glob if mode == "gp" else trained[i][1]
+                models.append((trained[i][0], store))
+                resolved.append((trained[i][0], store))
+            else:
+                models.append((initial, scopes[i]))
+                resolved.append((initial, inference_store({}, glob, mode, scopes[i])))
+        calls.append((models, list(test_sets), glob, resolved))
+        for i in draw(st.sets(st.integers(0, count - 1), max_size=3)):
+            trained[i] = (layer(), vectors(class_set(), 1.0))
+        if draw(st.booleans()):
+            test_sets[draw(st.integers(0, count - 1))] = test_set()
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestALocBlock:
+    """Never-trained clients, given as scopes, are scored as one block."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_calls())
+    def test_every_call_equals_the_reference(self, calls):
+        memo = {}
+        for models, test_sets, glob, resolved in calls:
+            try:
+                expected = reference_acc_local(resolved, test_sets)
+            except ProtocolError:
+                with pytest.raises(ProtocolError):
+                    acc_local(models, test_sets, global_protos=glob, memo=memo)
+            else:
+                assert acc_local(models, test_sets, global_protos=glob, memo=memo) == expected
+            # The memo holds the rows of the block's clients only.
+            members = [(shared, ts) for (shared, store), ts in zip(models, test_sets)
+                       if isinstance(store, frozenset) and len(ts)]
+            if members:
+                held, embedded = memo["block"][0], memo["block"][1]
+                assert [(id(m[1]), id(m[2])) for m in held] == [(id(a), id(b)) for a, b in members]
+                assert len(embedded) == sum(len(ts) for _, ts in members)
+            else:
+                assert "block" not in memo
+
+    def test_ties_break_to_the_lowest_class(self):
+        # Classes 1 and 3 share a vector; class 0 lies out of scope, nearer.
+        data = labeled([[1.0, 1.0]], [1])
+        glob = store_with({0: [1.0, 1.0], 1: [2.0, 2.0], 3: [2.0, 2.0]})
+        scope = frozenset({1, 3})
+        assert acc_local([(identity_shared(2), scope)], [data], global_protos=glob) == 1.0
+
+    def test_a_scope_holding_no_global_class_is_skipped(self):
+        data = labeled([[1.0, 0.0]], [0])
+        models = [(identity_shared(2), frozenset({2})), (identity_shared(2), frozenset({0}))]
+        glob = store_with({0: [1.0, 0.0], 1: [0.0, 1.0]})
+        assert acc_local(models, [data, data], global_protos=glob) == 1.0
 
 
 def two_stage_timeline(rng):
