@@ -18,7 +18,7 @@ import numpy as np
 from .datagen import ClientTimeline, LabeledSet
 from .errors import ProtocolError
 from .model import LayerParams, ModelParams, embed, forward
-from .prototypes import predict_batch
+from .prototypes import nearest, predict_batch
 
 A_GLOBAL = "A_glo"
 A_LOCAL = "A_loc"
@@ -194,9 +194,9 @@ def _score_block(members: list[tuple], global_protos: dict[int, np.ndarray], mem
     set, scope)`` in ``members`` (test sets not empty) with the ``global_protos`` of its scope.
 
     ``memo["block"]`` holds the members' embedded rows, labels, sizes and scope mask;
-    leavers drop their rows, a new or changed member rebuilds it. Distances keep
-    :func:`predict_batch`'s ops, so its bits, with +inf outside a row's scope; the argmin
-    over ascending classes breaks ties to the lowest class, as there.
+    leavers drop their rows, a new or changed member rebuilds it. Every row is scored
+    by :func:`~gldpsim.prototypes.nearest` over the ascending classes of its scope, the
+    routine :func:`predict_batch` calls, so ties break to the lowest class, as there.
     """
     held = memo.get("block")
     index = {(i, id(a), id(b), s): k for k, (i, a, b, s) in enumerate(held[0] if held else ())}
@@ -218,18 +218,7 @@ def _score_block(members: list[tuple], global_protos: dict[int, np.ndarray], mem
     if not classes:
         return [None] * len(members)
     in_store = mask[:, classes]
-    distances = np.full(in_store.shape, np.inf)
-    for j, c in enumerate(classes):
-        rows = np.flatnonzero(in_store[:, j])
-        gaps = embedded[rows]  # a copy, so the subtraction runs in place
-        gaps -= global_protos[c]
-        gaps *= gaps
-        distances[rows, j] = np.sqrt(gaps.sum(axis=-1))
-        del gaps  # before the next class's copy
-    picks = distances.argmin(axis=1)
-    # Where every in-store distance is +inf, predict_batch takes the lowest class in store.
-    stranded = np.isinf(distances[np.arange(len(picks)), picks])
-    picks[stranded] = in_store[stranded].argmax(axis=1)
+    picks = nearest(embedded, np.array([global_protos[c] for c in classes]), in_store)
     starts = np.cumsum(sizes) - sizes
     hits = np.add.reduceat(np.array(classes)[picks] == labels, starts)
     return [rate if any_held else None for rate, any_held

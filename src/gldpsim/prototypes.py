@@ -93,29 +93,69 @@ def update_global(
     return update_local(store, {c: np.stack(v).mean(axis=0) for c, v in by_class.items()}, momentum)
 
 
-# Rows scored per block in predict_batch: bounds its (rows, classes, dim)
-# gap temporary, whatever the number of rows in one call.
+# Rows per block of the exact pass: bounds its (rows, classes, dim) gap temporary.
 _BLOCK_ROWS = 64
 
 
-def predict_batch(embeddings: np.ndarray, store: dict[int, np.ndarray]) -> np.ndarray:
-    """Nearest-prototype class per row; ties break to the lowest class index.
-
-    Rows are scored in blocks of ``_BLOCK_ROWS``. Each row's distances are
-    computed from that row alone, so the blocking never changes a
-    prediction.
-    """
-    if not store:
-        raise ProtocolError("no prototypes available")
-    classes = sorted(store)
-    matrix = np.array([store[c] for c in classes])
+def _exact(embeddings: np.ndarray, matrix: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
+    """:func:`nearest` from elementwise distances, each row's from that row alone."""
     nearest = np.empty(len(embeddings), dtype=np.intp)
     for start in range(0, len(embeddings), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         gaps = embeddings[block, None, :] - matrix
         np.multiply(gaps, gaps, out=gaps)
-        nearest[block] = np.sqrt(gaps.sum(axis=-1)).argmin(axis=1)
-    return np.array(classes, dtype=np.int64)[nearest]
+        distances = np.sqrt(gaps.sum(axis=-1))
+        if allowed is not None:  # a row whose allowed distances are all +inf: the lowest allowed
+            distances[~allowed[block]] = np.inf
+            stranded = np.isinf(distances.min(axis=1))
+            distances[stranded] = np.where(allowed[block][stranded], 0.0, np.inf)
+        nearest[block] = distances.argmin(axis=1)
+    return nearest
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _screen(embeddings: np.ndarray, matrix: np.ndarray, allowed: np.ndarray | None):
+    """(settled, nearest) per row from ``|p|^2 - 2 p.e + |e|^2`` (classes x rows),
+    widened by ``8 (D + 8) (2**-52 (|e|^2 + |p|^2) + 2**-1074)``: more than its
+    rounding error and the exact pass's together, with room for the square root
+    to keep two distances apart. A settled row's bounds are finite, and only its
+    candidate's lower bound lies at or below the candidate's upper bound."""
+    sq_e, sq_p = (np.einsum("ij,ij->i", a, a) for a in (embeddings, matrix))
+    estimate = (sq_p[:, None] - 2 * (matrix @ embeddings.T)) + sq_e
+    margin = 8 * (embeddings.shape[1] + 8) * (np.add.outer(sq_p, sq_e) * 2.0**-52 + 2.0**-1074)
+    upper, lower = estimate + margin, estimate - margin
+    settled = np.isfinite(upper).all(axis=0)
+    if allowed is not None:
+        upper[~allowed.T] = lower[~allowed.T] = np.inf
+    best = upper.min(axis=0)
+    return settled & ((lower <= best).sum(axis=0) == 1), upper.argmin(axis=0)
+
+
+def nearest(embeddings: np.ndarray, matrix: np.ndarray, allowed: np.ndarray | None = None) -> np.ndarray:
+    """Index of each embedding's nearest allowed row of ``matrix`` (Euclidean).
+
+    ``allowed`` is a rows x classes mask (None allows every row). Ties, and rows whose every
+    allowed distance is +inf, go to the lowest allowed index. A call of over ``_BLOCK_ROWS``
+    rows is screened first; only rows the screen leaves open take the exact pass."""
+    if len(embeddings) <= _BLOCK_ROWS:
+        return _exact(embeddings, matrix, allowed)
+    picks = np.empty(len(embeddings), dtype=np.intp)
+    for start in range(0, len(embeddings), 8 * _BLOCK_ROWS):
+        rows = embeddings[start:start + 8 * _BLOCK_ROWS]
+        scope = None if allowed is None else allowed[start:start + len(rows)]
+        settled, picks[start:start + len(rows)] = _screen(rows, matrix, scope)
+        open_rows = np.flatnonzero(~settled)
+        picks[start + open_rows] = _exact(rows[open_rows], matrix,
+                                          None if scope is None else scope[open_rows])
+    return picks
+
+
+def predict_batch(embeddings: np.ndarray, store: dict[int, np.ndarray]) -> np.ndarray:
+    """Nearest-prototype class per row; ties break to the lowest class index."""
+    if not store:
+        raise ProtocolError("no prototypes available")
+    classes = sorted(store)
+    return np.array(classes, dtype=np.int64)[nearest(embeddings, np.array([store[c] for c in classes]))]
 
 
 def inference_store(

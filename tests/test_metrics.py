@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gldpsim import metrics
+from gldpsim import metrics, prototypes
 from gldpsim.datagen import ClientTimeline, LabeledSet, StageTask
 from gldpsim.errors import ProtocolError
 from gldpsim.metrics import (
@@ -27,7 +30,7 @@ from gldpsim.model import (
     init_params,
     local_update,
 )
-from gldpsim.prototypes import inference_store, predict_batch
+from gldpsim.prototypes import inference_store, nearest, predict_batch
 from oracles import (
     reference_acc_global,
     reference_acc_global_softmax,
@@ -182,7 +185,7 @@ class TestStackedMatmul:
                               np.stack([s @ w for s, w in zip(stack, weights)])), message
 
 
-# Test-set sizes on either side of predict_batch's 64-row block.
+# Test-set sizes on either side of the 64 rows above which nearest screens first.
 BLOCK_EDGE_SIZES = (0, 1, 63, 64, 65, 130)
 
 
@@ -259,6 +262,135 @@ class TestOnePassMatchesReference:
             return
         assert (acc_global_softmax(shared, heads, test_sets)
                 == reference_acc_global_softmax(models, test_sets))
+
+
+SCALES = (1e-160, 1.0, 1e150, 1e200)
+
+
+def scoped_reference(embeddings, matrix, allowed):
+    """Per row with any allowed row of ``matrix``: the reference prediction
+    from a store of its allowed rows alone, as an index into ``matrix``."""
+    return [reference_predict_batch(row[None], {j: matrix[j] for j in np.flatnonzero(scope)})[0]
+            for row, scope in zip(embeddings, allowed) if scope.any()]
+
+
+@st.composite
+def screen_cases(draw):
+    """(embeddings, matrix, allowed or None) with 65-300 rows, so the screen runs.
+
+    Each class vector sits at its own scale (1e-160, where squares are
+    subnormal, up to 1e200, where they overflow), and so do the rows. Some
+    classes repeat another's vector (twins) or sit one ulp from it, and
+    some rows lie at the midpoint of two class vectors.
+    """
+    dim, k, n = draw(st.integers(1, 70)), draw(st.integers(1, 8)), draw(st.integers(65, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.sampled_from(SCALES), min_size=k, max_size=k))
+    matrix = rng.standard_normal((k, dim)) * np.array(scales)[:, None]
+    for a, b in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3)):
+        matrix[b] = np.nextafter(matrix[a], np.inf) if draw(st.booleans()) else matrix[a]
+    near = rng.integers(0, k, n)
+    spread = draw(st.sampled_from((1e-3, 1.0)))
+    embeddings = matrix[near] + rng.standard_normal((n, dim)) * spread * draw(st.sampled_from(SCALES))
+    midpoints = rng.random(n) < 0.2
+    embeddings[midpoints] = (matrix[near[midpoints]] + matrix[rng.integers(0, k, n)[midpoints]]) / 2
+    allowed = rng.random((n, k)) < 0.6 if draw(st.booleans()) else None
+    return embeddings, matrix, allowed
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNearestScreen:
+    """The screen settles a row only when the exact pass would pick the same
+    row, so every prediction of a call of more than 64 rows keeps its bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(screen_cases())
+    def test_equals_the_reference(self, case):
+        embeddings, matrix, allowed = case
+        if allowed is None:
+            store = dict(enumerate(matrix))
+            assert np.array_equal(nearest(embeddings, matrix),
+                                  reference_predict_batch(embeddings, store))
+        else:
+            got = nearest(embeddings, matrix, allowed)[allowed.any(axis=1)]
+            assert got.tolist() == scoped_reference(embeddings, matrix, allowed)
+
+    @pytest.mark.parametrize("rows", [65, 200, 300])
+    def test_prototypes_one_ulp_apart(self, rows):
+        rng = np.random.default_rng(rows)
+        base = rng.standard_normal(16)
+        store = {0: np.nextafter(base, np.inf), 1: base, 2: np.nextafter(base, -np.inf), 3: -base}
+        embeddings = base + rng.standard_normal((rows, 16)) * 1e-15
+        assert np.array_equal(predict_batch(embeddings, store),
+                              reference_predict_batch(embeddings, store))
+
+    def test_rows_at_the_exact_midpoint_take_the_lower_class(self):
+        # Integer vectors with an even gap: every midpoint and gap is exact,
+        # so both distances are equal and the tie goes to class 2.
+        rng = np.random.default_rng(1)
+        low = rng.integers(-50, 50, 32).astype(float)
+        high = low + 2 * rng.integers(-9, 9, 32)
+        store = {2: low, 5: high, 7: low + 1000}
+        embeddings = np.repeat([(low + high) / 2], 150, axis=0)
+        got = predict_batch(embeddings, store)
+        assert got.tolist() == [2] * 150
+        assert np.array_equal(got, reference_predict_batch(embeddings, store))
+
+    @pytest.mark.parametrize("store_scale", SCALES)
+    @pytest.mark.parametrize("row_scale", SCALES)
+    def test_tiny_rows_beside_every_scale(self, row_scale, store_scale):
+        rng = np.random.default_rng([SCALES.index(row_scale), SCALES.index(store_scale)])
+        store = {c: rng.standard_normal(24) * scale
+                 for c, scale in enumerate([1e-160, store_scale, 1e-160, store_scale])}
+        embeddings = rng.standard_normal((130, 24)) * np.where(rng.random(130) < 0.5, 1e-160,
+                                                               row_scale)[:, None]
+        assert np.array_equal(predict_batch(embeddings, store),
+                              reference_predict_batch(embeddings, store))
+
+    @pytest.mark.parametrize("scale", [*SCALES, 1e300, np.inf, np.nan])
+    def test_the_screen_raises_no_warning_and_settles_no_row_it_cannot_bound(self, scale):
+        # Every row meets the classes at +-1e200, whose squared bounds
+        # overflow, so no row is settled, in scope or not.
+        rng = np.random.default_rng(0)
+        embeddings = rng.standard_normal((256, 8)) * scale
+        matrix = rng.standard_normal((5, 8)) * np.array([1.0, scale, 1e200, -1e200, 1e-160])[:, None]
+        allowed = rng.random((256, 5)) < 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            settled, _ = prototypes._screen(embeddings, matrix, allowed)
+            prototypes._screen(embeddings, matrix, None)
+        assert not settled.any()
+
+    def test_desk_shaped_rows_are_settled_by_the_screen(self, monkeypatch):
+        # 1,000 ReLU embeddings of width 64 around 10 class means, as desk's
+        # A_glo scores them: the screen, not the exact pass, must settle
+        # nearly all of them, or the fast path has silently gone dead.
+        rng = np.random.default_rng(0)
+        inputs, weight = rng.standard_normal((1000, 16)), rng.standard_normal((16, 64))
+        labels = rng.integers(0, 10, 1000)
+        embeddings = np.maximum(inputs @ weight + 2 * rng.standard_normal((10, 64))[labels], 0.0)
+        store = {c: embeddings[labels == c].mean(axis=0) for c in range(10)}
+        exact = prototypes._exact
+        reached = []
+        monkeypatch.setattr(prototypes, "_exact",
+                            lambda rows, *a: reached.append(len(rows)) or exact(rows, *a))
+        got = predict_batch(embeddings, store)
+        assert np.array_equal(got, reference_predict_batch(embeddings, store))
+        assert sum(reached) <= 10, f"{sum(reached)} of 1000 rows reached the exact pass"
+
+    def test_a_masked_block_peaks_below_one_copy_of_its_rows(self):
+        # A_loc's never-trained block: 5,000 rows of width 64, lp scopes.
+        rng = np.random.default_rng(3)
+        embeddings = np.maximum(rng.standard_normal((5000, 64)), 0.0)
+        matrix = np.maximum(rng.standard_normal((10, 64)), 0.0)
+        allowed = rng.random((5000, 10)) < 0.3
+        tracemalloc.start()
+        try:
+            nearest(embeddings, matrix, allowed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < embeddings.nbytes, f"peak {peak} B against {embeddings.nbytes} B of rows"
 
 
 class TestAccLocal:
@@ -481,7 +613,7 @@ def block_calls(draw):
         return LayerParams(rng.standard_normal((in_dim, dim)), rng.standard_normal(dim))
 
     def test_set():
-        rows = draw(st.sampled_from([0, 0, 1, 2, 3, 7]))
+        rows = draw(st.sampled_from([0, 0, 1, 2, 3, 7, 70]))  # 70: the block is screened
         return labeled(rng.standard_normal((rows, in_dim)), rng.integers(0, num_classes, rows))
 
     def class_set():
