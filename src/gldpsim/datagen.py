@@ -251,12 +251,17 @@ def _stage_class_sets(classes: list[int], num_stages: int) -> list[list[int]]:
     return [[classes[j % count]] for j in range(num_stages)]
 
 
-def _split(index: np.ndarray, sections: int) -> list[np.ndarray]:
-    """``np.array_split(index, sections)`` as plain slices: the first
-    ``len(index) % sections`` parts hold one element more."""
-    size, extra = divmod(len(index), sections)
-    bounds = [j * size + min(j, extra) for j in range(sections + 1)]
-    return [index[a:b] for a, b in zip(bounds, bounds[1:])]
+def _part_bounds(length, ways, k):
+    """Start and size of part ``k`` of ``length`` items cut into ``ways``
+    parts as ``np.array_split`` cuts them: the first ``length % ways`` parts
+    hold one item more. Elementwise over arrays."""
+    size, extra = np.divmod(length, ways)
+    return k * size + np.minimum(k, extra), size + (k < extra)
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``0..count-1`` for each count, laid end to end."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[ClientTimeline]:
@@ -266,8 +271,10 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     until each class has at least one assignee; ``ExperimentConfig`` checks
     that the plan can cover the classes); each class's samples are split
     disjointly among its assignees; each client's share is then spread
-    over its stages, with an 80/20 train/test split per stage. The stage
-    sets are read-only row slices of one gathered pair of arrays.
+    over its stages, with an 80/20 train/test split per stage. The spread
+    is one pass: one draw of every share's roll, then each part's rows
+    found by arithmetic. The stage sets are read-only row slices of one
+    gathered pair of arrays.
     A stage left without training samples is tolerated here, and the
     training protocol skips it; one warning per partition names every such
     (client, stage) pair. A partition in which no client holds any test
@@ -278,78 +285,76 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
 
     rng = np.random.default_rng([seed, _TAG_PARTITION])
     for _ in range(1000):
-        assignments = [rng.choice(num_classes, size=s, replace=False) for _ in range(n)]
-        covered: set[int] = set()
-        for a in assignments:
-            covered.update(int(c) for c in a)
-        if len(covered) == num_classes:
+        assignments = np.array([rng.choice(num_classes, size=s, replace=False) for _ in range(n)])
+        if np.bincount(assignments.ravel(), minlength=num_classes).all():
             break
     else:
         raise ConfigError(
             f"failed to cover all {num_classes} classes with {n} clients x {s} classes"
         )
 
-    # Split each class's samples disjointly among the clients holding it.
-    shares: list[dict[int, np.ndarray]] = [dict() for _ in range(n)]
-    assignment_sets = [set(int(c) for c in a) for a in assignments]
+    # Split each class's permutation among the clients holding it: the j-th
+    # holder takes part (j + roll) mod holders. A (client, class) share is a
+    # range of ``order``, every class's permutation laid end to end.
+    held = np.zeros((n, num_classes), dtype=bool)
+    held[np.arange(n)[:, None], assignments] = True
+    share_start, share_size = np.zeros((2, n, num_classes), dtype=np.int64)
+    perms = []
     for c in range(num_classes):
-        holders = [i for i in range(n) if c in assignment_sets[i]]
-        idx = np.where(data.labels == c)[0]
-        idx = rng.permutation(idx)
-        parts = _split(idx, len(holders))
-        roll = int(rng.integers(len(holders)))
-        for j, holder in enumerate(holders):
-            shares[holder][c] = parts[(j + roll) % len(holders)]
+        holders = np.flatnonzero(held[:, c])
+        perms.append(rng.permutation(np.flatnonzero(data.labels == c)))
+        k = (np.arange(len(holders)) + int(rng.integers(len(holders)))) % len(holders)
+        bounds = _part_bounds(len(perms[-1]), len(holders), k)
+        share_start[holders, c], share_size[holders, c] = bounds
+    share_start += np.cumsum([0, *map(len, perms[:-1])])
+    order = np.concatenate(perms)
 
-    # Deal each share to its client's stages; a part is a slice of its
-    # class permutation, recorded with its (client, stage) slot.
-    parts: list[np.ndarray] = []
-    slots: list[int] = []
-    stage_classes = []
-    for i in range(n):
-        effective = [c for c in map(int, assignments[i]) if shares[i][c].size > 0]
+    # Deal each share to the w stages holding its class the same way, parts
+    # in (client, class, stage) order. The rolls of all shares with w > 1
+    # are one draw, in the order that one draw per share took.
+    sizes_of = share_size.tolist()
+    shares, ways, slots, stage_classes = [], [], [], []
+    for i, drawn in enumerate(assignments.tolist()):
+        effective = [c for c in drawn if sizes_of[i][c]]
         if not effective:
             raise DataError(f"client {i} received no samples for any of its classes")
         stage_classes.append(_stage_class_sets(effective, m))
         for c in effective:
-            with_c = [j for j in range(m) if c in stage_classes[i][j]]
-            chunk_parts = _split(shares[i][c], len(with_c))
-            roll = int(rng.integers(len(with_c))) if len(with_c) > 1 else 0
-            for j, stage_j in enumerate(with_c):
-                part = chunk_parts[(j + roll) % len(with_c)]
-                if part.size:
-                    parts.append(part)
-                    slots.append(i * m + stage_j)
+            with_c = [i * m + j for j, classes in enumerate(stage_classes[i]) if c in classes]
+            shares.append(i * num_classes + c)
+            ways.append(len(with_c))
+            slots += with_c
+    ways, shares = np.array(ways), np.array(shares)
+    rolls = np.zeros_like(ways)
+    rolls[ways > 1] = rng.integers(ways[ways > 1])
+    of = np.repeat(np.arange(len(ways)), ways)  # the share each part is cut from
+    k = (_ranks(ways) + rolls[of]) % ways[of]
+    start, sizes = _part_bounds(share_size.flat[shares[of]], ways[of], k)
+    start += share_start.flat[shares[of]]
 
     # Cut every part 80/20 and order all rows by (slot, train before test)
     # with a stable sort, so a stage's parts keep the client's class order.
     # One gather then holds every stage's rows; stage sets are slices of it.
-    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
     n_train = np.maximum(1, np.floor(_TRAIN_FRACTION * sizes + 0.5).astype(np.int64))
-    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    within = _ranks(sizes)
     key = np.repeat(2 * np.array(slots), sizes) + (within >= np.repeat(n_train, sizes))
-    rows = np.concatenate(parts)[np.argsort(key, kind="stable")]
-    pool = _read_only(data.subset(rows))
-    cuts = [0, *np.cumsum(np.bincount(key, minlength=2 * n * m)).tolist()]
+    rows = np.repeat(start, sizes) + within
+    pool = _read_only(data.subset(order[rows[np.argsort(key, kind="stable")]]))
 
-    timelines = []
-    empty: list[str] = []
-    for i in range(n):
-        stages = []
-        for j in range(m):
-            lo, mid, hi = cuts[2 * (i * m + j):2 * (i * m + j) + 3]
-            if lo == mid:
-                empty.append(f"{i}:{j + 1}")
-            train, test = pool.subset(slice(lo, mid)), pool.subset(slice(mid, hi))
-            stages.append(StageTask(j + 1, train, test, frozenset(stage_classes[i][j])))
-        timelines.append(ClientTimeline(client_id=i, stages=stages))
+    counts = np.bincount(key, minlength=2 * n * m)
+    empty = [f"{slot // m}:{slot % m + 1}" for slot in np.flatnonzero(counts[::2] == 0).tolist()]
     if empty:
         log.warning("%d of %d stages have no training samples and are skipped (client:stage): %s",
                     len(empty), n * m, " ".join(empty))
-    if not any(len(stage.test) for t in timelines for stage in t.stages):
+    if not counts[1::2].any():
         raise DataError(
             f"no client holds any test sample: {len(data)} samples over {n} clients x {m} "
             "stages leave stage parts of 1-2 samples, which go wholly to training; "
             "use fewer clients or stages, or more samples"
         )
-    return timelines
+    cuts = [0, *np.cumsum(counts).tolist()]
+    sets = [LabeledSet(pool.inputs[a:b], pool.labels[a:b]) for a, b in zip(cuts, cuts[1:])]
+    splits = list(zip(sets[::2], sets[1::2]))  # (train, test) of each slot
+    return [ClientTimeline(client_id=i, stages=[
+        StageTask(j + 1, *splits[i * m + j], frozenset(classes))
+        for j, classes in enumerate(stage_classes[i])]) for i in range(n)]

@@ -1,10 +1,10 @@
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gldpsim.cli import parse_config
@@ -17,7 +17,7 @@ from gldpsim.datagen import (
     apply_longtail,
     longtail_class_counts,
     make_synthetic_dataset,
-    _split,
+    _part_bounds,
     partition_clients,
 )
 from gldpsim.errors import ConfigError, DataError
@@ -215,6 +215,16 @@ def tiny_plans(draw):
     return spec, plan, draw(st.integers(0, 2**16))
 
 
+@st.composite
+def longtail_tiny_plans(draw):
+    """``tiny_plans`` with fewer samples, thinned to a long tail: a tail
+    class can hold fewer samples than holders or stages, so some parts come
+    out empty and a client can be left with no samples."""
+    spec, plan, seed = draw(tiny_plans())
+    spec = replace(spec, samples_per_class=draw(st.integers(1, spec.samples_per_class)))
+    return spec, replace(plan, imbalance_factor=draw(st.floats(1.0, 50.0))), seed
+
+
 class TestPartitionClients:
     def test_single_stage_shape(self):
         timelines = partition_clients(
@@ -396,6 +406,32 @@ def partition_with_warnings(partition, data, plan, seed, caplog):
     return timelines, [r.getMessage() for r in caplog.records]
 
 
+def partition_outcome(partition, data, plan, seed, caplog):
+    """(timelines or None, warnings logged, (exception type, text) or None)."""
+    try:
+        timelines, messages = partition_with_warnings(partition, data, plan, seed, caplog)
+    except Exception as exc:  # any type: the other partitioner must raise the same
+        return None, [r.getMessage() for r in caplog.records], (type(exc), str(exc))
+    return timelines, messages, None
+
+
+def assert_same_timelines(got, want):
+    assert [t.client_id for t in got] == [t.client_id for t in want]
+    for g, w in zip(got, want):
+        assert len(g.stages) == len(w.stages)
+        for gs, ws in zip(g.stages, w.stages):
+            assert (gs.stage_index, gs.class_set) == (ws.stage_index, ws.class_set)
+            assert_same_set(gs.train, ws.train)
+            assert_same_set(gs.test, ws.test)
+
+
+# Two plans at the partition's edges, as (spec, plan, seed): one leaves a
+# stage without training samples (one warning), the other leaves a client
+# without any sample (DataError).
+EMPTY_PART_PLAN = (DatasetSpec(4, 2, 6), PartitionPlan(3, 3, 4, 10.0), 3)
+NO_SAMPLE_CLIENT_PLAN = (DatasetSpec(4, 2, 1), PartitionPlan(3, 3, 4), 1)
+
+
 class TestPartitionMatchesReference:
     """The slicing partitioner gives the stages of the np.array_split one."""
 
@@ -414,23 +450,62 @@ class TestPartitionMatchesReference:
             want, want_log = partition_with_warnings(
                 reference_partition_clients, data, plan, seed, caplog)
             assert got_log == want_log
-            assert [t.client_id for t in got] == [t.client_id for t in want]
-            for g, w in zip(got, want):
-                assert len(g.stages) == len(w.stages)
-                for gs, ws in zip(g.stages, w.stages):
-                    assert (gs.stage_index, gs.class_set) == (ws.stage_index, ws.class_set)
-                    assert_same_set(gs.train, ws.train)
-                    assert_same_set(gs.test, ws.test)
+            assert_same_timelines(got, want)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec_plan_seed=st.one_of(tiny_plans(), longtail_tiny_plans()))
+    @example(spec_plan_seed=EMPTY_PART_PLAN)
+    @example(spec_plan_seed=NO_SAMPLE_CLIENT_PLAN)
+    def test_tiny_plans_match_reference(self, spec_plan_seed, caplog):
+        spec, plan, seed = spec_plan_seed
+        data = apply_longtail(make_synthetic_dataset(spec, seed), plan.imbalance_factor, seed)
+        got, got_log, got_error = partition_outcome(partition_clients, data, plan, seed, caplog)
+        want, want_log, want_error = partition_outcome(
+            reference_partition_clients, data, plan, seed, caplog)
+        assert (got_error, got_log) == (want_error, want_log)
+        if want is not None:
+            assert_same_timelines(got, want)
+
+    def test_edge_plans_reach_their_edges(self, caplog):
+        spec, plan, seed = EMPTY_PART_PLAN
+        data = apply_longtail(make_synthetic_dataset(spec, seed), plan.imbalance_factor, seed)
+        _, messages = partition_with_warnings(partition_clients, data, plan, seed, caplog)
+        assert len(messages) == 1 and "have no training samples" in messages[0]
+        spec, plan, seed = NO_SAMPLE_CLIENT_PLAN
+        with pytest.raises(DataError, match="received no samples"):
+            partition_clients(make_synthetic_dataset(spec, seed), plan, seed)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 200), st.integers(1, 40))
-    def test_split_is_array_split(self, length, sections):
+    def test_part_bounds_cut_as_array_split(self, length, sections):
         index = np.arange(length, dtype=np.int64)
-        got, want = _split(index, sections), np.array_split(index, sections)
+        start, size = _part_bounds(length, sections, np.arange(sections))
+        got = [index[a:a + b] for a, b in zip(start.tolist(), size.tolist())]
+        want = np.array_split(index, sections)
         assert len(got) == len(want) == sections
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
+
+
+class TestOneCallRollDraw:
+    """``partition_clients`` draws the roll of every share dealt to two or
+    more stages in one ``Generator.integers(highs)`` call, where it once
+    drew one ``integers(h)`` per share. Its partitions stay the same only
+    while numpy gives both the same values and leaves the same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**63), st.lists(st.integers(2, 20), max_size=64))
+    def test_array_draw_equals_one_draw_per_high(self, seed, highs):
+        together, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = together.integers(np.array(highs, dtype=np.int64)).tolist()
+        want = [int(one_by_one.integers(h)) for h in highs]
+        message = ("Generator.integers(highs) differs from one integers(h) per entry, "
+                   "so partition_clients's one-call roll draw changes every partition")
+        assert got == want, message
+        assert together.integers(2) == one_by_one.integers(2), message
+        assert together.random() == one_by_one.random(), message
 
 
 class TestPartitionFailsLikeReference:
