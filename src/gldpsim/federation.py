@@ -24,7 +24,7 @@ of the client and server states in :func:`run_stage`.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -113,7 +113,7 @@ def _jsonify(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in sorted(value.items())}
+        return {str(k): _jsonify(v) for k, v in value.items()}
     return value
 
 
@@ -125,20 +125,21 @@ def dump_message_log(messages: list[RoundMessage], path: str | Path) -> None:
     """Write one JSON object per message, suitable for offline audits.
 
     Each line holds the message fields and its payload, keys sorted. A
-    payload object that several messages carry (a stage's broadcast) is
-    encoded once, and its text is dropped after its last message. Texts
-    are keyed by ``id``: ``messages`` keeps every payload alive, so no
-    two of them share one.
+    stage logs each client's download before its upload, so keeping the
+    last download's text by ``id`` (``messages`` keeps every payload
+    alive, so no id is reused) encodes each broadcast once. Uploads are
+    encoded as they come.
     """
-    uses = Counter(id(msg.payload) for msg in messages)
-    texts: dict[int, str] = {}
+    down_key, down_text = None, ""
     with open(path, "w") as fh:
         for msg in messages:
-            key = id(msg.payload)
-            text = texts.pop(key, None) or _encode_payload(msg.payload)
-            uses[key] -= 1
-            if uses[key]:
-                texts[key] = text
+            down = msg.direction == "server_to_client"
+            if down and id(msg.payload) == down_key:
+                text = down_text
+            else:
+                text = _encode_payload(msg.payload)
+                if down:
+                    down_key, down_text = id(msg.payload), text
             fields = {
                 "receiver": msg.receiver, "round": msg.round_index, "sender": msg.sender,
                 "stage": msg.stage_index, "version": MESSAGE_FORMAT_VERSION,

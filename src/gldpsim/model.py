@@ -193,11 +193,19 @@ def loss_total(
     return total
 
 
+def relation_targets(
+    old_protos: dict[int, np.ndarray], temperature: float, classes: set[int]
+) -> dict[int, np.ndarray]:
+    """``softmax(old / T)`` of each stored prototype whose class is in ``classes``."""
+    return {c: softmax(np.asarray(p, dtype=np.float64) / temperature)
+            for c, p in old_protos.items() if c in classes}
+
+
 def grad_total(
     params: ModelParams,
     inputs: np.ndarray,
     labels: np.ndarray,
-    old_protos: dict[int, np.ndarray],
+    old_targets: dict[int, np.ndarray],
     global_protos: dict[int, np.ndarray],
     weights: LossWeights,
     layers: tuple[str, ...] = ("shared", "head"),
@@ -205,6 +213,8 @@ def grad_total(
 ) -> ModelParams:
     """Analytic gradient of :func:`loss_total`, shaped like ModelParams.
 
+    ``old_targets`` holds the local relation's targets, the
+    :func:`relation_targets` of ``loss_total``'s ``old_protos``.
     Both relation terms reach the shared layer through the batch class-mean
     embeddings; only cross-entropy touches the head. Only the gradients of
     ``layers`` are computed; the other field is None.
@@ -235,9 +245,9 @@ def grad_total(
 
     local_c, global_c = weights.local_coeff, weights.global_coeff
     # A relation term acts only on classes that have a stored prototype.
-    if (local_c > 0.0 and old_protos) or (global_c > 0.0 and global_protos):
+    if (local_c > 0.0 and old_targets) or (global_c > 0.0 and global_protos):
         batch_classes = sorted(set(labels.tolist()))
-        overlap = [c for c in batch_classes if c in old_protos] if local_c > 0.0 else []
+        overlap = [c for c in batch_classes if c in old_targets] if local_c > 0.0 else []
         pulled = global_protos if global_c > 0.0 else {}
         t, dim = weights.temperature, embedding.shape[1]
         for c in batch_classes:
@@ -251,8 +261,7 @@ def grad_total(
             proto = np.add.reduce(embedding[mask], axis=0) / count
             if c in overlap:
                 s_new = softmax(proto / t)
-                s_old = softmax(np.asarray(old_protos[c], dtype=np.float64) / t)
-                rows += local_c * (s_new - s_old) / (t * len(overlap)) / count
+                rows += local_c * (s_new - old_targets[c]) / (t * len(overlap)) / count
             if c in pulled:
                 # weight (B_c/B) and the 1/B_c mean factor cancel to 1/B
                 rows += global_c * (2.0 / (dim * batch)) * (proto - pulled[c])
@@ -305,6 +314,9 @@ def _train(
     shared bias, head weight, head bias: the parameters, and the gradients
     ``grad_total`` writes through ``out``. A phase's layers are one slice,
     so the pull, weight decay and step are one elementwise op each on it.
+    The stored prototypes are fixed for the update, so the local relation's
+    targets are formed once, for the stage's classes (every batch class is
+    one), and each epoch gathers its shuffled rows once.
     Returns copies that own their memory (see :mod:`gldpsim.federation`).
     """
     if len(stage.train) == 0:
@@ -317,15 +329,18 @@ def _train(
     split = arrays[0].size + arrays[1].size
     inputs, labels = stage.train.inputs, stage.train.labels
     n = len(labels)
+    targets = (relation_targets(old_protos, weights.temperature, set(labels.tolist()))
+               if weights.local_coeff > 0.0 and old_protos else {})
 
     for layers, epochs in phases:
         span = slice(0 if "shared" in layers else split, None if "head" in layers else split)
         param, grad, anchor = flat[span], grad_flat[span], received[span]
         for _ in range(epochs):
             order = rng.permutation(n)
+            xs, ys = inputs[order], labels[order]
             for start in range(0, n, opt.batch_size):
-                sel = order[start : start + opt.batch_size]
-                grad_total(trained, inputs[sel], labels[sel], old_protos, global_protos,
+                end = start + opt.batch_size
+                grad_total(trained, xs[start:end], ys[start:end], targets, global_protos,
                            weights, layers, out=grads)
                 if prox_coeff > 0.0:
                     grad += prox_coeff * (param - anchor)

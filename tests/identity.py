@@ -9,8 +9,9 @@ It covers the 28 desk CSVs (`--algorithm {GLDP,FedAvg,FedRep,FedProx}
 manifest config hashes of those runs, the 8 message dumps (6 desk rounds x
 4 algorithms x seeds 0,1), the one-stage desk CSV, desk_large seed 0
 for GLDP and FedRep, the stage sets of the population-size partition
-(desk with 500 clients and 5000 samples per class, seed 0), and that
-population's 10-round GLDP CSV under lp and under gp inference: 54 lines.
+(desk with 500 clients and 5000 samples per class, seed 0), that
+population's 10-round GLDP CSV under lp and under gp inference, and the
+desk GLDP CSV at ``kl_temperature = 0.05``, seed 0: 55 lines.
 Digests hold on one platform only. pytest does not collect this file; a
 run takes about half a minute.
 """
@@ -89,19 +90,24 @@ def population_digest(work: Path, mode: str) -> str:
     return digest(path)
 
 
+def print_cli_run(work: Path, name: str, argv: list[str], csvs: str = "*.csv") -> None:
+    """Run the CLI into ``work / name`` and print the digests of its ``csvs``."""
+    out = work / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv + ["--out", str(out)]) != 0:
+            sys.exit(f"run {name} failed")
+    for csv in sorted(out.glob(csvs)):
+        print(f"{digest(csv)}  {name}/{csv.name}")
+    if name in ALGORITHMS or name in ("ablation", "gp"):
+        config_hash = json.loads((out / "manifest.json").read_text())["config_hash"]
+        print(f"{config_hash}  {name}/config_hash")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, argv in cli_runs(work):
-            out = work / name
-            with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(argv + ["--out", str(out)]) != 0:
-                    sys.exit(f"run {name} failed")
-            for csv in sorted(out.glob("*.csv")):
-                print(f"{digest(csv)}  {name}/{csv.name}")
-            if name in ALGORITHMS or name in ("ablation", "gp"):
-                config_hash = json.loads((out / "manifest.json").read_text())["config_hash"]
-                print(f"{config_hash}  {name}/config_hash")
+            print_cli_run(work, name, argv)
 
         desk = cli.parse_config(DESK)
         for alg in ALGORITHMS:
@@ -119,6 +125,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for mode in ("lp", "gp"):
             print(f"{population_digest(Path(tmp), mode)}  population_gldp_{mode}_seed0.csv")
+    # A sharp temperature: the local relation's targets are nearly one-hot.
+    with tempfile.TemporaryDirectory() as tmp:
+        sharp = Path(tmp) / "desk_sharp.cfg"
+        sharp.write_text(DESK.read_text().replace("kl_temperature = 1.0", "kl_temperature = 0.05"))
+        print_cli_run(Path(tmp), "sharp", ["--config", str(sharp), "--seeds", "0"], "*_seed0.csv")
 
 
 if __name__ == "__main__":

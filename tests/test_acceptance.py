@@ -32,7 +32,7 @@ from gldpsim.federation import (
     run_round,
 )
 from gldpsim.metrics import acc_sel_prototypes, forgetting
-from gldpsim.model import LossWeights, OptimizerConfig, grad_total
+from gldpsim.model import LossWeights, OptimizerConfig, grad_total, relation_targets
 from gldpsim.prototypes import (
     compute,
     compute_counts,
@@ -117,9 +117,11 @@ def test_criterion_1_gradient_oracle():
     checked = 0
     for _ in range(7):
         config = random_configuration(rng)
+        params, inputs, labels, old, glob = config
         for mix in (0.0, 0.5, 1.0):
             weights = LossWeights(relation_mix=mix)
-            got = grad_total(*config, weights)
+            targets = relation_targets(old, weights.temperature, set(labels.tolist()))
+            got = grad_total(params, inputs, labels, targets, glob, weights)
             want = finite_difference_grad(*config, weights, eps=1e-5)
             for got_arr, want_arr in zip(
                 [got.shared.weight, got.shared.bias, got.head.weight, got.head.bias], want

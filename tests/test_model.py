@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gldpsim.model import (
     loss_global_relation,
     loss_local_relation,
     loss_total,
+    relation_targets,
     stage_prototypes,
 )
 from gldpsim.prototypes import compute, compute_counts
@@ -203,9 +205,11 @@ class TestGradTotal:
         checked = 0
         for trial in range(7):
             config = random_configuration(rng)
+            params, inputs, labels, old, glob = config
             for mix, temperature in itertools.product((0.0, 0.5, 1.0), (1.0, 0.01)):
                 weights = LossWeights(relation_mix=mix, temperature=temperature)
-                got = grad_total(*config, weights)
+                targets = relation_targets(old, temperature, set(labels.tolist()))
+                got = grad_total(params, inputs, labels, targets, glob, weights)
                 want = finite_difference_grad(*config, weights)
                 for got_arr, want_arr in zip(
                     [got.shared.weight, got.shared.bias, got.head.weight, got.head.bias], want
@@ -233,7 +237,8 @@ class TestGradTotal:
         inputs = np.array([[1.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 1])
         protos = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-        grads = grad_total(params, inputs, labels, protos, protos, LossWeights())
+        targets = relation_targets(protos, LossWeights().temperature, {0, 1})
+        grads = grad_total(params, inputs, labels, targets, protos, LossWeights())
         norm = sum(
             float((a**2).sum())
             for a in (grads.shared.weight, grads.shared.bias, grads.head.weight, grads.head.bias)
@@ -490,6 +495,37 @@ def hot_path_cases(draw):
     return params, inputs, labels, old, glob, weights, layers
 
 
+@st.composite
+def train_cases(draw):
+    """(params, stage, old store, global store, opt, weights) of one update.
+
+    The stage runs 1-6 minibatches per epoch, the last one partial or full,
+    and lacks at least one class, which the old store may hold.
+    """
+    batch_size = draw(st.sampled_from((2, 3, 8)))
+    n = batch_size * (draw(st.integers(1, 6)) - 1) + draw(st.integers(1, batch_size))
+    classes = draw(st.integers(2, 5))
+    width = draw(st.sampled_from((2, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    held = rng.choice(classes, draw(st.integers(1, classes - 1)), replace=False)
+    labels = rng.choice(held, n)
+    inputs = rng.standard_normal((n, 3)) + labels[:, None]
+    train = LabeledSet(inputs, labels)
+    stage = StageTask(1, train, train.subset(np.arange(0)), frozenset(held.tolist()))
+    params = init_params(3, width, classes, [int(rng.integers(2**31)), 0])
+    old, glob = (
+        {c: 3.0 * rng.standard_normal(width) for c in range(classes) if rng.random() < fill}
+        for fill in (draw(st.sampled_from(STORE_FILLS)), draw(st.sampled_from(STORE_FILLS)))
+    )
+    opt = OptimizerConfig(step_size=0.05, shared_epochs=draw(st.integers(1, 2)),
+                          head_epochs=draw(st.integers(1, 2)), batch_size=batch_size)
+    weights = LossWeights(
+        relation_mix=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        temperature=draw(st.sampled_from((1e-3, 0.05, 1.0, 8.0))),
+    )
+    return params, stage, old, glob, opt, weights
+
+
 class TestHotPathMatchesReference:
     """The per-minibatch functions give the bytes of their reference forms."""
 
@@ -497,13 +533,15 @@ class TestHotPathMatchesReference:
     @given(hot_path_cases(), st.sampled_from((0.0, 0.05, 3.0)), st.sampled_from((0.0, 1e-4, 0.5)))
     def test_gradient_step_softmax_and_prototypes(self, case, step_size, weight_decay):
         params, inputs, labels, old, glob, weights, layers = case
-        got = grad_total(*case)
+        targets = relation_targets(old, weights.temperature, set(labels.tolist()))
+        fast = (params, inputs, labels, targets, glob, weights, layers)
+        got = grad_total(*fast)
         want = reference_grad_total(*case)
         # ``out`` views one flat buffer, as in ``_train``; a layer not in
         # ``layers`` keeps its fill.
         fill = np.full(sum(a.size for a in param_arrays(params)), 7.5)
         out = model._views(fill, param_arrays(params))
-        assert grad_total(*case, out=out) is out
+        assert grad_total(*fast, out=out) is out
         for name in ("shared", "head"):
             g, w, o = getattr(got, name), getattr(want, name), getattr(out, name)
             assert (g is None) == (name not in layers) == (w is None)
@@ -529,29 +567,51 @@ class TestHotPathMatchesReference:
         assert list(counts.items()) == list(reference_compute_counts(labels).items())
         assert all(type(c) is int and type(n) is int for c, n in counts.items())
 
-    def test_updates_match_reference_functions(self, monkeypatch):
-        # Many minibatches, relation terms acting, and FedProx's pull written
-        # into each gradient before the step: the flat-buffer loop gives the
-        # bytes of the per-array one.
-        rng = np.random.default_rng(21)
-        stage = one_stage(rng, num_classes=3, samples=40)
-        params = init_params(3, 5, 3, [21, 21])
-        old = {0: rng.standard_normal(5), 2: rng.standard_normal(5)}
-        glob = {c: rng.standard_normal(5) for c in range(3)}
-        opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=3, batch_size=8)
+    @settings(max_examples=150, deadline=None)
+    @given(train_cases())
+    def test_updates_match_reference_functions(self, case):
+        # Many minibatches, a partial last one, stores holding classes the
+        # stage lacks, relation terms acting or not, and FedProx's pull
+        # written into each gradient before the step: the flat-buffer loop
+        # with per-update targets and per-epoch rows gives the bytes of the
+        # per-array one, which softmaxes the stored prototypes and gathers
+        # the rows anew at every minibatch.
+        params, stage, old, glob, opt, weights = case
 
         def updates():
             return [
-                local_update(params, stage, old, glob, opt, LossWeights(0.5, 0.1),
-                             np.random.default_rng(3)),
+                local_update(params, stage, old, glob, opt, weights, np.random.default_rng(3)),
+                joint_update(params, stage, opt, np.random.default_rng(4)),
                 joint_update(params, stage, opt, np.random.default_rng(4), prox_coeff=0.3),
             ]
 
         fast = updates()
-        monkeypatch.setattr(model, "_train", reference_train)
-        for a, b in zip(fast, updates()):
-            for got, want in zip(param_arrays(a), param_arrays(b)):
-                assert got.tobytes() == want.tobytes()
+        with mock.patch.object(model, "_train", reference_train):
+            want = updates()
+        for a, b in zip(fast, want):
+            for got, ref in zip(param_arrays(a), param_arrays(b)):
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("held, mix", [(False, 0.5), (True, 0.0)])
+    def test_no_target_is_formed_that_no_minibatch_reads(self, held, mix):
+        # A stored prototype of 1e308 overflows softmax(old / T) at T = 1e-3.
+        # The update forms no such target for a class the stage never holds,
+        # nor for any class while the local term is off, so it neither
+        # raises nor moves from the reference's bytes.
+        rng = np.random.default_rng(23)
+        stage = one_stage(rng, num_classes=3, samples=20)  # classes 0 and 1 only
+        params = init_params(3, 5, 3, [23, 23])
+        old = {0: rng.standard_normal(5), 1 if held else 2: np.full(5, 1e308)}
+        glob = {c: rng.standard_normal(5) for c in range(3)}
+        opt = OptimizerConfig(step_size=0.05, shared_epochs=2, head_epochs=2, batch_size=8)
+        weights = LossWeights(relation_mix=mix, temperature=1e-3)
+        with np.errstate(over="raise", invalid="raise"):
+            got = local_update(params, stage, old, glob, opt, weights, np.random.default_rng(5))
+            with mock.patch.object(model, "_train", reference_train):
+                want = local_update(params, stage, old, glob, opt, weights,
+                                    np.random.default_rng(5))
+        for a, b in zip(param_arrays(got), param_arrays(want)):
+            assert a.tobytes() == b.tobytes()
 
     def test_updates_write_only_their_own_arrays(self):
         # The received arrays come back unchanged, and every returned array
