@@ -1,10 +1,11 @@
 """Synthetic data generation and long-tailed, multi-stage client partitioning.
 
-Builds Gaussian-mixture classification data, thins it into a long-tailed
-class profile controlled by an imbalance factor, and carves it into
-per-client timelines of stage tasks whose class composition shifts over
-time. All outputs are pure functions of (spec, plan, seed); the seed is an
-argument of each seeded step, not a field of the spec or plan.
+Builds Gaussian-mixture classification data, keeping only the rows of a
+long-tailed class profile controlled by an imbalance factor as it draws
+them, and carves it into per-client timelines of stage tasks whose class
+composition shifts over time. All outputs are pure functions of (spec,
+plan, seed); the seed is an argument of each seeded step, not a field of
+the spec or plan.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataError, require
-from .prototypes import compute_counts
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +51,7 @@ class DatasetSpec:
         require(self.noise_sigma > 0, "noise_sigma", f"must be positive, got {self.noise_sigma}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LabeledSet:
     """Feature matrix with integer class labels."""
 
@@ -89,7 +89,7 @@ class PartitionPlan:
                 f"must be >= 1, got {self.imbalance_factor}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageTask:
     """One stage of a client's timeline: train/test split over a class subset."""
 
@@ -120,7 +120,8 @@ class ClientTimeline:
 
     The test union of all stages is built on first use and shared by every
     caller, so its arrays are read-only; the union of stages 1..m is a
-    read-only view of its first rows.
+    read-only view of its first rows. Not slotted: ``cached_property``
+    needs the instance ``__dict__``.
     """
 
     client_id: int
@@ -162,13 +163,14 @@ class ClientTimeline:
         return LabeledSet(union.inputs[:size], union.labels[:size])
 
 
-def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
-    """Draw a balanced Gaussian-mixture dataset, grouped by class.
+def make_synthetic_dataset(spec: DatasetSpec, seed: int, rows: np.ndarray | None = None) -> LabeledSet:
+    """Draw a Gaussian-mixture dataset, grouped by class, and keep ``rows``.
 
     Each class gets an isotropic Gaussian cloud of ``samples_per_class``
     points around a per-class center drawn once from a scaled standard
-    Gaussian. Deterministic in ``seed``. Samples that overflow raise
-    ``DataError``.
+    Gaussian. ``rows`` are ascending rows of that balanced set (every row
+    when ``None``); the result equals the balanced set's ``subset(rows)``.
+    Deterministic in ``seed``. Samples that overflow raise ``DataError``.
     """
     center_rng = np.random.default_rng([seed, _TAG_CENTERS])
     centers = center_rng.standard_normal((spec.num_classes, spec.input_dim))
@@ -181,21 +183,29 @@ def make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet:
     if overflow or not distances.min() > 0.0:
         raise DataError("class centers coincide or overflow")
 
-    # Each class's block is drawn, scaled and shifted in place in one array:
-    # the same draws, products and sums as ``centers[c] + noise * sigma``.
+    # Each class's block is drawn, scaled and shifted in place in one reused
+    # buffer (the same draws, products and sums as ``centers[c] + noise *
+    # sigma``), and only its kept rows are copied out: the balanced set is
+    # never held. ``take`` writes them straight into ``inputs``; "clip" only
+    # spares it a buffer, as every kept row lies in its class's block.
     sample_rng = np.random.default_rng([seed, _TAG_SAMPLES])
     n = spec.samples_per_class
-    inputs = np.empty((spec.num_classes * n, spec.input_dim))
+    if rows is None:
+        rows = np.arange(spec.num_classes * n)
+    cuts = np.searchsorted(rows, np.arange(spec.num_classes + 1) * n).tolist()
+    inputs = np.empty((len(rows), spec.input_dim))
+    block = np.empty((n, spec.input_dim))
     try:
         with np.errstate(over="raise"):
             for c in range(spec.num_classes):
-                block = inputs[c * n:(c + 1) * n]
                 sample_rng.standard_normal(out=block)
                 block *= spec.noise_sigma
                 block += centers[c]
+                np.take(block, rows[cuts[c]:cuts[c + 1]] - c * n, axis=0,
+                        out=inputs[cuts[c]:cuts[c + 1]], mode="clip")
     except FloatingPointError:
         raise DataError("samples overflow: noise_sigma is too large") from None
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), np.diff(cuts))
     return LabeledSet(inputs, labels)
 
 
@@ -212,26 +222,14 @@ def longtail_class_counts(samples_per_class: int, imbalance_factor: float, num_c
     return counts
 
 
-def apply_longtail(data: LabeledSet, imbalance_factor: float, seed: int) -> LabeledSet:
-    """Uniformly subsample each class down to its long-tail count.
-
-    Requires balanced input (equal per-class counts).
-    """
-    per_class = compute_counts(data.labels)
-    num_classes = len(per_class)
-    sizes = set(per_class.values())
-    if len(sizes) != 1:
-        raise DataError(f"apply_longtail requires balanced input, got counts {per_class}")
-    n_max = sizes.pop()
-    counts = longtail_class_counts(n_max, imbalance_factor, num_classes)
-
+def apply_longtail(spec: DatasetSpec, imbalance_factor: float, seed: int) -> np.ndarray:
+    """The ascending rows of ``spec``'s balanced set that the long tail keeps:
+    a uniform draw of each class's long-tail count from its block."""
+    n = spec.samples_per_class
+    counts = longtail_class_counts(n, imbalance_factor, spec.num_classes)
     rng = np.random.default_rng([seed, _TAG_LONGTAIL])
-    keep_indices = []
-    for c in range(num_classes):
-        idx = np.where(data.labels == c)[0]
-        chosen = rng.choice(idx, size=counts[c], replace=False)
-        keep_indices.append(np.sort(chosen))
-    return data.subset(np.concatenate(keep_indices))
+    return np.concatenate([c * n + np.sort(rng.choice(n, size=count, replace=False))
+                           for c, count in enumerate(counts)])
 
 
 def _stage_class_sets(classes: list[int], num_stages: int) -> list[list[int]]:

@@ -326,9 +326,9 @@ def initialize_experiment(
     config: ExperimentConfig,
 ) -> tuple[ServerState, dict[int, ClientState]]:
     """Build data, timelines, and one initial model shared by every client."""
-    # Nothing holds the balanced set once it is thinned.
-    longtailed = apply_longtail(make_synthetic_dataset(config.dataset, config.seed),
-                                config.plan.imbalance_factor, config.seed)
+    # The long tail's rows are chosen first, so the balanced set is never held.
+    keep = apply_longtail(config.dataset, config.plan.imbalance_factor, config.seed)
+    longtailed = make_synthetic_dataset(config.dataset, config.seed, keep)
     timelines = partition_clients(longtailed, config.plan, config.seed)
 
     init = init_params(

@@ -67,9 +67,10 @@ def partition_digest() -> str:
     and stage order, of the population-size partition at seed 0."""
     desk = cli.parse_config(DESK)
     plan = replace(desk.plan, num_clients=500)
-    data = make_synthetic_dataset(replace(desk.dataset, samples_per_class=5000), 0)
+    spec = replace(desk.dataset, samples_per_class=5000)
+    data = make_synthetic_dataset(spec, 0, apply_longtail(spec, plan.imbalance_factor, 0))
     sha = hashlib.sha256()
-    for timeline in partition_clients(apply_longtail(data, plan.imbalance_factor, 0), plan, 0):
+    for timeline in partition_clients(data, plan, 0):
         for stage in timeline.stages:
             for part in (stage.train, stage.test):
                 for array in (part.inputs, part.labels):

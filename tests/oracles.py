@@ -15,6 +15,7 @@ import numpy as np
 
 from gldpsim.datagen import (
     _TAG_CENTERS,
+    _TAG_LONGTAIL,
     _TAG_PARTITION,
     _TAG_SAMPLES,
     _TRAIN_FRACTION,
@@ -25,6 +26,7 @@ from gldpsim.datagen import (
     StageTask,
     _stage_class_sets,
     log,
+    longtail_class_counts,
 )
 from gldpsim.errors import ConfigError, DataError, ProtocolError
 from gldpsim.federation import (
@@ -47,7 +49,7 @@ from gldpsim.metrics import (
     forgetting,
 )
 from gldpsim.model import LayerParams, ModelParams, embed, forward, init_params, loss_total
-from gldpsim.prototypes import inference_store, predict_batch
+from gldpsim.prototypes import compute_counts, inference_store, predict_batch
 
 
 def finite_difference_grad(params, inputs, labels, old, glob, weights, eps=1e-5):
@@ -335,6 +337,55 @@ def reference_make_synthetic_dataset(spec: DatasetSpec, seed: int) -> LabeledSet
     inputs = np.concatenate(blocks)
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
     return LabeledSet(inputs, labels)
+
+
+# The long-tailed set as it was made while the balanced set was drawn whole
+# and then thinned: both steps verbatim, one after the other. The class-block
+# draw must give the same bytes and raise the same errors.
+def reference_longtail(spec: DatasetSpec, imbalance_factor: float, seed: int) -> LabeledSet:
+    center_rng = np.random.default_rng([seed, _TAG_CENTERS])
+    centers = center_rng.standard_normal((spec.num_classes, spec.input_dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge scale overflows: rejected below
+        centers *= spec.class_center_scale
+        gaps = centers[:, None, :] - centers[None, :, :]
+        distances = np.sqrt((gaps**2).sum(axis=-1))
+    overflow = not np.isfinite(distances).all()  # inf, or NaN from inf - inf
+    np.fill_diagonal(distances, np.inf)
+    if overflow or not distances.min() > 0.0:
+        raise DataError("class centers coincide or overflow")
+
+    # Each class's block is drawn, scaled and shifted in place in one array:
+    # the same draws, products and sums as ``centers[c] + noise * sigma``.
+    sample_rng = np.random.default_rng([seed, _TAG_SAMPLES])
+    n = spec.samples_per_class
+    inputs = np.empty((spec.num_classes * n, spec.input_dim))
+    try:
+        with np.errstate(over="raise"):
+            for c in range(spec.num_classes):
+                block = inputs[c * n:(c + 1) * n]
+                sample_rng.standard_normal(out=block)
+                block *= spec.noise_sigma
+                block += centers[c]
+    except FloatingPointError:
+        raise DataError("samples overflow: noise_sigma is too large") from None
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n)
+    data = LabeledSet(inputs, labels)
+
+    per_class = compute_counts(data.labels)
+    num_classes = len(per_class)
+    sizes = set(per_class.values())
+    if len(sizes) != 1:
+        raise DataError(f"apply_longtail requires balanced input, got counts {per_class}")
+    n_max = sizes.pop()
+    counts = longtail_class_counts(n_max, imbalance_factor, num_classes)
+
+    rng = np.random.default_rng([seed, _TAG_LONGTAIL])
+    keep_indices = []
+    for c in range(num_classes):
+        idx = np.where(data.labels == c)[0]
+        chosen = rng.choice(idx, size=counts[c], replace=False)
+        keep_indices.append(np.sort(chosen))
+    return data.subset(np.concatenate(keep_indices))
 
 
 # The partitioner as it was while it split with np.array_split, verbatim but

@@ -223,10 +223,8 @@ def test_criterion_4_fixed_point():
 def test_criterion_5_longtail_counts():
     want = [100, 60, 36, 22, 13, 8, 5, 3, 2, 1]
     got_rule = longtail_class_counts(100, 100.0, 10)
-    data = make_synthetic_dataset(
-        DatasetSpec(num_classes=10, input_dim=16, samples_per_class=100), seed=3
-    )
-    thinned = apply_longtail(data, 100.0, seed=3)
+    spec = DatasetSpec(num_classes=10, input_dim=16, samples_per_class=100)
+    thinned = make_synthetic_dataset(spec, 3, apply_longtail(spec, 100.0, seed=3))
     got_applied = [compute_counts(thinned.labels)[k] for k in range(10)]
     ok = got_rule == want and got_applied == want
     report(5, "longtail-counts", ok, f"counts {got_applied}")

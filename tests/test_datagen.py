@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -25,6 +27,7 @@ from gldpsim.federation import ExperimentConfig
 from gldpsim.prototypes import compute_counts
 from oracles import (
     rebuild_test_union,
+    reference_longtail,
     reference_make_synthetic_dataset,
     reference_partition_clients,
 )
@@ -131,6 +134,11 @@ class TestMakeSyntheticDataset:
             DatasetSpec(num_classes=3, input_dim=4, samples_per_class=5, noise_sigma=0.0)
 
 
+def longtailed(spec, imbalance_factor, seed):
+    """The long-tailed dataset ``initialize_experiment`` draws."""
+    return make_synthetic_dataset(spec, seed, apply_longtail(spec, imbalance_factor, seed))
+
+
 def row_indexed(data):
     """``data`` with input column 0 set to the row index, so each sample
     carries its identity through any subset."""
@@ -141,42 +149,109 @@ def row_indexed(data):
 
 class TestApplyLongtail:
     def test_identity_when_factor_is_one(self):
-        data = make_synthetic_dataset(small_spec(), 7)
-        thinned = apply_longtail(data, 1.0, seed=0)
-        assert all(count == 100 for count in compute_counts(thinned.labels).values())
+        assert np.array_equal(apply_longtail(small_spec(), 1.0, seed=0), np.arange(1000))
 
     def test_frozen_count_oracle_if_100(self):
         # Direct evaluation of round(100 * 100^(-k/9)) per class.
         assert longtail_class_counts(100, 100.0, 10) == [100, 60, 36, 22, 13, 8, 5, 3, 2, 1]
 
     def test_head_and_tail_counts(self):
-        data = make_synthetic_dataset(small_spec(), 7)
-        thinned = apply_longtail(data, 100.0, seed=0)
+        thinned = make_synthetic_dataset(small_spec(), 7, apply_longtail(small_spec(), 100.0, 0))
         counts = compute_counts(thinned.labels)
         assert counts[0] == 100
         assert counts[9] == 1
         assert counts[3] == 22
 
     def test_counts_non_increasing(self):
-        data = make_synthetic_dataset(small_spec(), 7)
         for factor in (1.0, 10.0, 50.0, 100.0):
-            counts = compute_counts(apply_longtail(data, factor, seed=0).labels)
+            thinned = make_synthetic_dataset(small_spec(), 7, apply_longtail(small_spec(), factor, 0))
+            counts = compute_counts(thinned.labels)
             values = [counts[k] for k in range(10)]
             assert values == sorted(values, reverse=True)
 
-    def test_requires_balanced_input(self):
-        data = make_synthetic_dataset(small_spec(), 7)
-        unbalanced = data.subset(np.arange(len(data) - 5))
-        with pytest.raises(DataError):
-            apply_longtail(unbalanced, 10.0, seed=0)
-
     def test_keeps_rows_of_input(self):
-        data = row_indexed(make_synthetic_dataset(small_spec(), 7))
-        thinned = apply_longtail(data, 50.0, seed=0)
-        rows = thinned.inputs[:, 0].astype(np.int64)
-        assert len(np.unique(rows)) == len(thinned)
+        rows = apply_longtail(small_spec(), 50.0, seed=0)
+        data = make_synthetic_dataset(small_spec(), 7)
+        thinned = make_synthetic_dataset(small_spec(), 7, rows)
+        assert rows.dtype == np.int64 and (np.diff(rows) > 0).all()
+        assert 0 <= rows[0] and rows[-1] < len(data)
         assert np.array_equal(thinned.inputs, data.inputs[rows])
         assert np.array_equal(thinned.labels, data.labels[rows])
+
+
+def assert_same_bytes(got, want):
+    assert got.inputs.shape == want.inputs.shape
+    assert got.inputs.tobytes() == want.inputs.tobytes()
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+
+
+def draw_outcome(draw, *args):
+    """(dataset or None, (exception type, text) or None)."""
+    try:
+        return draw(*args), None
+    except Exception as exc:  # any type: the other draw must raise the same
+        return None, (type(exc), str(exc))
+
+
+class TestClassBlockDraw:
+    """The long-tailed set is drawn one class block at a time, keeping only
+    the rows ``apply_longtail`` chooses: the bytes of drawing the balanced
+    set whole and thinning it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_classes=st.integers(2, 12),
+        input_dim=st.integers(2, 8),
+        samples_per_class=st.integers(1, 300),
+        noise_sigma=st.one_of(st.floats(0.1, 10.0), st.sampled_from([1e305, 1e308])),
+        imbalance_factor=st.sampled_from([1.0, 1.5, 10.0, 50.0, 1e4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(num_classes=10, input_dim=8, samples_per_class=300, noise_sigma=1e308,
+             imbalance_factor=50.0, seed=0)
+    def test_matches_drawing_whole_then_thinning(self, imbalance_factor, seed, **fields):
+        spec = DatasetSpec(**fields)
+        got, got_error = draw_outcome(longtailed, spec, imbalance_factor, seed)
+        want, want_error = draw_outcome(reference_longtail, spec, imbalance_factor, seed)
+        assert got_error == want_error
+        if want is not None:
+            assert_same_bytes(got, want)
+
+    def test_overflow_example_reaches_the_error(self):
+        spec = DatasetSpec(10, 8, 300, noise_sigma=1e308)
+        with pytest.raises(DataError, match="samples overflow"):
+            longtailed(spec, 50.0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_classes=st.integers(2, 6),
+        input_dim=st.integers(2, 4),
+        samples_per_class=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_kept_rows_are_the_balanced_sets_subset(self, seed, data, **fields):
+        spec = DatasetSpec(**fields)
+        total = spec.num_classes * spec.samples_per_class
+        rows = np.array(sorted(data.draw(st.lists(st.integers(0, total - 1), max_size=40))),
+                        dtype=np.int64)
+        assert_same_bytes(make_synthetic_dataset(spec, seed, rows),
+                          make_synthetic_dataset(spec, seed).subset(rows))
+
+    def test_peaks_below_one_copy_of_the_balanced_inputs(self):
+        # 5,000 samples per class: drawing the balanced set whole and
+        # thinning it peaked at 1.4x its inputs; block by block stays below.
+        spec = DatasetSpec(10, 16, 5000)
+        balanced_bytes = 10 * 5000 * 16 * np.dtype(np.float64).itemsize
+        longtailed(spec, 50.0, 0)  # one-time allocations are not the draw's peak
+        tracemalloc.start()
+        try:
+            longtailed(spec, 50.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < balanced_bytes, f"peak {peak} B against {balanced_bytes} B balanced"
 
 
 def four_class_data(seed=3):
@@ -238,8 +313,7 @@ class TestPartitionClients:
             assert len(t.stages[0].class_set) == 2
 
     def test_staged_shape_20_4_5(self):
-        data = make_synthetic_dataset(small_spec(), 7)
-        thinned = apply_longtail(data, 50.0, seed=0)
+        thinned = make_synthetic_dataset(small_spec(), 7, apply_longtail(small_spec(), 50.0, 0))
         timelines = partition_clients(
             thinned,
             PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5,
@@ -275,8 +349,7 @@ class TestPartitionClients:
                 assert n_train == max(1, int(np.floor(0.8 * total + 0.5)))
 
     def test_disjointness_multi_stage(self):
-        data = make_synthetic_dataset(small_spec(), 11)
-        thinned = row_indexed(apply_longtail(data, 50.0, seed=11))
+        thinned = row_indexed(longtailed(small_spec(), 50.0, 11))
         timelines = partition_clients(
             thinned,
             PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5,
@@ -326,8 +399,7 @@ class TestPartitionClients:
                 assert sa.class_set == sb.class_set
 
     def test_labels_subset_of_class_set(self):
-        data = make_synthetic_dataset(small_spec(), 4)
-        thinned = apply_longtail(data, 100.0, seed=4)
+        thinned = longtailed(small_spec(), 100.0, 4)
         timelines = partition_clients(
             thinned,
             PartitionPlan(num_clients=20, classes_per_client=4, num_stages=5,
@@ -394,9 +466,8 @@ def assert_same_set(got, want):
 
 def desk_timelines(seed):
     config = parse_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
-    data = make_synthetic_dataset(config.dataset, seed)
-    longtailed = apply_longtail(data, config.plan.imbalance_factor, seed)
-    return partition_clients(longtailed, config.plan, seed)
+    return partition_clients(longtailed(config.dataset, config.plan.imbalance_factor, seed),
+                             config.plan, seed)
 
 
 def partition_with_warnings(partition, data, plan, seed, caplog):
@@ -445,7 +516,7 @@ class TestPartitionMatchesReference:
             plan = PartitionPlan(500, plan.classes_per_client, plan.num_stages,
                                  plan.imbalance_factor)
         for seed in seeds:
-            data = apply_longtail(make_synthetic_dataset(spec, seed), plan.imbalance_factor, seed)
+            data = longtailed(spec, plan.imbalance_factor, seed)
             got, got_log = partition_with_warnings(partition_clients, data, plan, seed, caplog)
             want, want_log = partition_with_warnings(
                 reference_partition_clients, data, plan, seed, caplog)
@@ -459,7 +530,7 @@ class TestPartitionMatchesReference:
     @example(spec_plan_seed=NO_SAMPLE_CLIENT_PLAN)
     def test_tiny_plans_match_reference(self, spec_plan_seed, caplog):
         spec, plan, seed = spec_plan_seed
-        data = apply_longtail(make_synthetic_dataset(spec, seed), plan.imbalance_factor, seed)
+        data = longtailed(spec, plan.imbalance_factor, seed)
         got, got_log, got_error = partition_outcome(partition_clients, data, plan, seed, caplog)
         want, want_log, want_error = partition_outcome(
             reference_partition_clients, data, plan, seed, caplog)
@@ -469,7 +540,7 @@ class TestPartitionMatchesReference:
 
     def test_edge_plans_reach_their_edges(self, caplog):
         spec, plan, seed = EMPTY_PART_PLAN
-        data = apply_longtail(make_synthetic_dataset(spec, seed), plan.imbalance_factor, seed)
+        data = longtailed(spec, plan.imbalance_factor, seed)
         _, messages = partition_with_warnings(partition_clients, data, plan, seed, caplog)
         assert len(messages) == 1 and "have no training samples" in messages[0]
         spec, plan, seed = NO_SAMPLE_CLIENT_PLAN
@@ -512,8 +583,7 @@ class TestPartitionFailsLikeReference:
     @pytest.mark.parametrize("seed", [90, 554, 555, 667])
     def test_unbuildable_desk_seed_raises_the_reference_error(self, seed):
         config = parse_config(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
-        data = apply_longtail(make_synthetic_dataset(config.dataset, seed),
-                              config.plan.imbalance_factor, seed)
+        data = longtailed(config.dataset, config.plan.imbalance_factor, seed)
         messages = []
         pattern = r"^client \d+ received no samples for any of its classes$"
         for partition in (partition_clients, reference_partition_clients):
@@ -557,6 +627,19 @@ class TestDeskTestCoverage:
             holders.append(sum(1 for u in unions if len(u)))
         assert per_class.tolist() == [116, 55, 18, 3, 0, 0, 0, 0, 0, 0]
         assert holders == [17, 12, 9, 12, 13]
+
+    def test_readme_block_prints_the_readme_table(self, monkeypatch, capsys):
+        # README's test-row table and the code block after it that makes it.
+        root = Path(__file__).resolve().parents[1]
+        before, after = (root / "README.md").read_text().split("The table comes from the", 1)
+        block = after.split("```python\n", 1)[1].split("```", 1)[0]
+        rows = dict(re.findall(r"^\| `(desk\w*\.cfg)` \| ([\d |]+) \|$", before, re.M))
+        assert set(rows) == {"desk.cfg", "desk_large.cfg"}
+        monkeypatch.chdir(root)
+        exec(block, {})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"configs/{name} " + " ".join(rows[name].split(" | "))
+                           for name in ("desk.cfg", "desk_large.cfg")]
 
 
 def upto_values(num_stages):

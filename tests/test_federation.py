@@ -564,10 +564,10 @@ class TestRunExperiment:
 
 class TestInitializeExperiment:
     def test_setup_peak_holds_the_balanced_set_once(self):
-        # The balanced set is drawn in place and let go once it is thinned, so
-        # set-up's traced peak stays below 1.6x its inputs; drawing a block per
-        # class, concatenating them and holding the set through partitioning
-        # peaked at 2.18x.
+        # Set-up draws only the long tail's rows of the balanced set, one class
+        # block at a time, so its traced peak stays below 1.6x the balanced
+        # inputs; drawing a block per class, concatenating them and holding
+        # the set through partitioning peaked at 2.18x.
         desk = parse_config(DESK)
         config = replace(desk, dataset=replace(desk.dataset, samples_per_class=1000))
         balanced_bytes = 10 * 1000 * 16 * np.dtype(np.float64).itemsize
