@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -114,53 +113,32 @@ def _read_only(data: LabeledSet) -> LabeledSet:
     return data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientTimeline:
     """A client's stage tasks, fixed once built.
 
-    The test union of all stages is built on first use and shared by every
-    caller, so its arrays are read-only; the union of stages 1..m is a
-    read-only view of its first rows. Not slotted: ``cached_property``
-    needs the instance ``__dict__``.
+    ``tests`` is the test sets of all stages laid end to end in stage
+    order, which is their union, as the stages hold disjoint samples; the
+    union of stages 1..k is its first rows. ``classes`` is every class any
+    stage holds.
     """
 
     client_id: int
     stages: tuple[StageTask, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-
-    @cached_property
-    def classes(self) -> frozenset[int]:
-        """Every class any stage holds."""
-        return frozenset().union(*(stage.class_set for stage in self.stages))
-
-    @cached_property
-    def _test_union_sizes(self) -> tuple[LabeledSet, tuple[int, ...]]:
-        """The test sets of all stages concatenated in stage order, and the
-        size of the union of stages 1..k for k = 0..M.
-
-        ``partition_clients`` gives a client's stages disjoint samples, so
-        the concatenation is the union, and the union of stages 1..k is
-        its first rows.
-        """
-        tests = [s.test for s in self.stages]
-        union = _read_only(LabeledSet(np.concatenate([t.inputs for t in tests]),
-                                      np.concatenate([t.labels for t in tests])))
-        return union, tuple(np.cumsum([0, *map(len, tests)]).tolist())
+    tests: LabeledSet
+    classes: frozenset[int]
 
     def test_union(self, upto_stage: int | None = None) -> LabeledSet:
         """Union of test sets for stages 1..upto_stage.
 
         ``upto_stage`` slices the stages as ``stages[:upto_stage]`` does.
         """
-        union, sizes = self._test_union_sizes
-        size = sizes[len(self.stages[:upto_stage])]
-        if size == len(union):
-            return union
+        size = sum(len(s.test) for s in self.stages[:upto_stage])
+        if size == len(self.tests):
+            return self.tests
         # Made per call: holding one per stage of every client raised the
         # population workload's peak RSS by ~2%.
-        return LabeledSet(union.inputs[:size], union.labels[:size])
+        return LabeledSet(self.tests.inputs[:size], self.tests.labels[:size])
 
 
 def make_synthetic_dataset(spec: DatasetSpec, seed: int, rows: np.ndarray | None = None) -> LabeledSet:
@@ -271,8 +249,8 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     disjointly among its assignees; each client's share is then spread
     over its stages, with an 80/20 train/test split per stage. The spread
     is one pass: one draw of every share's roll, then each part's rows
-    found by arithmetic. The stage sets are read-only row slices of one
-    gathered pair of arrays.
+    found by arithmetic. The stage sets, and each client's test union, are
+    read-only row slices of one gathered pair of arrays.
     A stage left without training samples is tolerated here, and the
     training protocol skips it; one warning per partition names every such
     (client, stage) pair. A partition in which no client holds any test
@@ -330,21 +308,23 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
     start, sizes = _part_bounds(share_size.flat[shares[of]], ways[of], k)
     start += share_start.flat[shares[of]]
 
-    # Cut every part 80/20 and order all rows by (slot, train before test)
-    # with a stable sort, so a stage's parts keep the client's class order.
-    # One gather then holds every stage's rows; stage sets are slices of it.
+    # Cut every part 80/20 and order all rows by (client, train before test,
+    # stage) with a stable sort, so a stage's parts keep the client's class
+    # order. One gather then holds every stage's rows, and each client's test
+    # sets lie end to end; stage sets and test unions are slices of it.
     n_train = np.maximum(1, np.floor(_TRAIN_FRACTION * sizes + 0.5).astype(np.int64))
     within = _ranks(sizes)
-    key = np.repeat(2 * np.array(slots), sizes) + (within >= np.repeat(n_train, sizes))
+    slots = np.array(slots)  # i * m + j for client i, stage j + 1
+    key = np.repeat(slots + slots // m * m, sizes) + (within >= np.repeat(n_train, sizes)) * m
     rows = np.repeat(start, sizes) + within
     pool = _read_only(data.subset(order[rows[np.argsort(key, kind="stable")]]))
 
-    counts = np.bincount(key, minlength=2 * n * m)
-    empty = [f"{slot // m}:{slot % m + 1}" for slot in np.flatnonzero(counts[::2] == 0).tolist()]
+    counts = np.bincount(key, minlength=2 * n * m).reshape(n, 2, m)
+    empty = [f"{slot // m}:{slot % m + 1}" for slot in np.flatnonzero(counts[:, 0] == 0).tolist()]
     if empty:
         log.warning("%d of %d stages have no training samples and are skipped (client:stage): %s",
                     len(empty), n * m, " ".join(empty))
-    if not counts[1::2].any():
+    if not counts[:, 1].any():
         raise DataError(
             f"no client holds any test sample: {len(data)} samples over {n} clients x {m} "
             "stages leave stage parts of 1-2 samples, which go wholly to training; "
@@ -352,7 +332,10 @@ def partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int) -> list[
         )
     cuts = [0, *np.cumsum(counts).tolist()]
     sets = [LabeledSet(pool.inputs[a:b], pool.labels[a:b]) for a, b in zip(cuts, cuts[1:])]
-    splits = list(zip(sets[::2], sets[1::2]))  # (train, test) of each slot
-    return [ClientTimeline(client_id=i, stages=[
-        StageTask(j + 1, *splits[i * m + j], frozenset(classes))
-        for j, classes in enumerate(stage_classes[i])]) for i in range(n)]
+    # Client i's test sets run from cut (2i+1)m to cut (2i+2)m.
+    tests = [LabeledSet(pool.inputs[a:b], pool.labels[a:b])
+             for a, b in zip(cuts[m::2 * m], cuts[2 * m::2 * m])]
+    return [ClientTimeline(i, tuple([
+        StageTask(j + 1, sets[2 * i * m + j], sets[(2 * i + 1) * m + j], frozenset(classes))
+        for j, classes in enumerate(stage_classes[i])]),
+        tests[i], frozenset().union(*stage_classes[i])) for i in range(n)]

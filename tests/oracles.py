@@ -97,8 +97,21 @@ def rebuild_test_union(timeline, upto_stage=None):
         first = timeline.stages[0].test
         return LabeledSet(np.empty((0, first.inputs.shape[1]), first.inputs.dtype),
                           np.empty(0, first.labels.dtype))
+    return _concat_tests(stages)
+
+
+def _concat_tests(stages):
     return LabeledSet(np.concatenate([s.test.inputs for s in stages]),
                       np.concatenate([s.test.labels for s in stages]))
+
+
+def timeline_of(client_id, stages):
+    """A ``ClientTimeline`` of ``stages`` filled in from them: ``tests`` is
+    their test sets concatenated in stage order, ``classes`` the union of
+    their class sets."""
+    stages = tuple(stages)
+    return ClientTimeline(client_id, stages, _concat_tests(stages),
+                          frozenset().union(*(s.class_set for s in stages)))
 
 
 def reference_predict_batch(embeddings, store):
@@ -470,7 +483,7 @@ def reference_partition_clients(data: LabeledSet, plan: PartitionPlan, seed: int
                     class_set=frozenset(stage_classes[j]),
                 )
             )
-        timelines.append(ClientTimeline(client_id=i, stages=stages))
+        timelines.append(timeline_of(i, stages))
     if empty:
         log.warning("%d of %d stages have no training samples and are skipped (client:stage): %s",
                     len(empty), n * m, " ".join(empty))

@@ -14,12 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import finite_difference_grad, random_configuration
+from oracles import finite_difference_grad, random_configuration, timeline_of
 from trend_runs import cached_run, select
 
 from gldpsim.cli import run
 from gldpsim.datagen import (
-    ClientTimeline,
     DatasetSpec,
     apply_longtail,
     longtail_class_counts,
@@ -296,7 +295,7 @@ def test_criterion_10_asel_bookkeeping():
     drops = []
     for client in clients.values():
         stage = client.timeline.stages[0]
-        degenerate = ClientTimeline(client_id=client.timeline.client_id, stages=[stage] * 4)
+        degenerate = timeline_of(client.timeline.client_id, [stage] * 4)
         store = client.local_protos
         if len(store) == 0 or len(stage.test) == 0:
             continue

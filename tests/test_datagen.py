@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gldpsim.cli import parse_config
 from gldpsim.datagen import (
-    ClientTimeline,
     DatasetSpec,
     LabeledSet,
     PartitionPlan,
@@ -30,6 +29,7 @@ from oracles import (
     reference_longtail,
     reference_make_synthetic_dataset,
     reference_partition_clients,
+    timeline_of,
 )
 
 
@@ -490,6 +490,9 @@ def assert_same_timelines(got, want):
     assert [t.client_id for t in got] == [t.client_id for t in want]
     for g, w in zip(got, want):
         assert len(g.stages) == len(w.stages)
+        assert g.classes == w.classes
+        for upto in range(len(w.stages) + 1):
+            assert_same_set(g.test_union(upto), rebuild_test_union(w, upto))
         for gs, ws in zip(g.stages, w.stages):
             assert (gs.stage_index, gs.class_set) == (ws.stage_index, ws.class_set)
             assert_same_set(gs.train, ws.train)
@@ -594,11 +597,14 @@ class TestPartitionFailsLikeReference:
 
 
 class TestStageLayout:
-    """Every stage's sets are read-only row slices of one gathered pair."""
+    """Every stage's sets, and every test union, are read-only row slices
+    of one gathered pair."""
 
     def test_stage_arrays_are_read_only_contiguous_views_of_one_base(self):
-        parts = [part for t in desk_timelines(0) for stage in t.stages
+        timelines = desk_timelines(0)
+        parts = [part for t in timelines for stage in t.stages
                  for part in (stage.train, stage.test)]
+        parts += [union for t in timelines for union in (t.test_union(), t.test_union(1))]
         for name in ("inputs", "labels"):
             arrays = [getattr(part, name) for part in parts]
             base = arrays[0].base
@@ -665,7 +671,7 @@ def hand_built_timelines(draw):
                 np.array(labels, dtype=int_type),
             )
         stages.append(StageTask(index, rows["train"], rows["test"], frozenset(range(4))))
-    return ClientTimeline(client_id=0, stages=stages)
+    return timeline_of(0, stages)
 
 
 class TestTestUnion:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gldpsim import metrics, prototypes
-from gldpsim.datagen import ClientTimeline, LabeledSet, StageTask
+from gldpsim.datagen import LabeledSet, StageTask
 from gldpsim.errors import ProtocolError
 from gldpsim.metrics import (
     MetricsLog,
@@ -38,6 +38,7 @@ from oracles import (
     reference_accuracy_prototypes,
     reference_accuracy_softmax,
     reference_predict_batch,
+    timeline_of,
 )
 
 
@@ -701,9 +702,9 @@ def two_stage_timeline(rng):
     s2_train = LabeledSet(s2.inputs, s2.labels + 2)
     s2t = separated_clouds(rng, centers, 10)
     s2_test = LabeledSet(s2t.inputs, s2t.labels + 2)
-    return ClientTimeline(
-        client_id=0,
-        stages=[
+    return timeline_of(
+        0,
+        [
             StageTask(1, s1_train, s1_test, frozenset({0, 1})),
             StageTask(2, s2_train, s2_test, frozenset({2, 3})),
         ],
@@ -751,7 +752,7 @@ class TestAccSel:
     def test_identical_stages_give_constant_asel(self):
         rng = np.random.default_rng(2)
         timeline = two_stage_timeline(rng)
-        degenerate = ClientTimeline(client_id=0, stages=[timeline.stages[0]] * 3)
+        degenerate = timeline_of(0, [timeline.stages[0]] * 3)
         store = store_with({0: [8.0, 1.0, 1.0], 1: [1.0, 8.0, 1.0]})
         shared = identity_shared(3)
         values = [acc_sel_prototypes(shared, store, degenerate, m) for m in (1, 2, 3)]
@@ -770,7 +771,7 @@ class TestAccSel:
             params = local_update(
                 params, timeline.stages[1], {}, {}, opt, LossWeights(), np.random.default_rng(5)
             )
-        stage2_acc = acc_sel_softmax(params, ClientTimeline(0, [timeline.stages[1]]), 1)
+        stage2_acc = acc_sel_softmax(params, timeline_of(0, [timeline.stages[1]]), 1)
         assert stage2_acc > 0.9  # it did learn the new stage
 
         union = timeline.test_union(2)
@@ -781,9 +782,9 @@ class TestAccSel:
     def test_empty_union_returns_none(self):
         rng = np.random.default_rng(4)
         timeline = two_stage_timeline(rng)
-        bare = ClientTimeline(
-            client_id=1,
-            stages=[
+        bare = timeline_of(
+            1,
+            [
                 StageTask(
                     1,
                     timeline.stages[0].train,
