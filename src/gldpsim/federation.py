@@ -191,7 +191,7 @@ class ExperimentConfig:
                 f"must be positive, got {self.embedding_dim}")
         require(0.0 <= self.proto_momentum <= 1.0, "proto_momentum",
                 f"must be in [0, 1], got {self.proto_momentum}")
-        require(not self.fedprox_coeff < 0, "fedprox_coeff",
+        require(self.fedprox_coeff >= 0, "fedprox_coeff",
                 f"must be non-negative, got {self.fedprox_coeff}")
         require(self.inference_mode in INFERENCE_MODES, "inference_mode",
                 f"must be one of {INFERENCE_MODES}, got {self.inference_mode!r}")
@@ -395,7 +395,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
     def local_model(client: ClientState) -> tuple:
         """``(shared, store)``; a never-trained client gives its scope instead,
         and ``acc_local`` scores those with the global store as one block."""
-        if client.params.shared is not initial or client.local_protos:
+        if client.params.shared is not initial:  # only an update gives local prototypes
             return client.params.shared, store(client)
         return initial, every_class if config.inference_mode == "gp" else client.timeline.classes
 

@@ -58,15 +58,13 @@ class MetricsLog:
 
 
 def accuracy_prototypes(
-    shared: LayerParams, store: dict[int, np.ndarray], data: LabeledSet,
-    *, embedded: np.ndarray | None = None,
+    shared: LayerParams, store: dict[int, np.ndarray], data: LabeledSet
 ) -> float | None:
     """Nearest-prototype accuracy on one labeled set; None when the set or
-    the store is empty, so a client without prototypes is skipped.
-    ``embedded``, if given, is ``embed(shared, data.inputs)`` already formed."""
+    the store is empty, so a client without prototypes is skipped."""
     if len(data) == 0 or not store:
         return None
-    embedded = embed(shared, data.inputs) if embedded is None else embedded
+    embedded = embed(shared, data.inputs)
     return np.count_nonzero(predict_batch(embedded, store) == data.labels) / len(data)
 
 
@@ -237,17 +235,9 @@ def acc_local(
     never-trained GLDP client): :func:`_score_block` scores those as one block.
     Clients whose resolved store is empty are skipped. ``memo`` carries each
     other position's value to the next call, until its shared layer, test
-    set or store vectors are replaced. It also holds each non-empty test
-    set's embedding, under ``("embedded", position)``, which a miss that
-    replaced only store vectors scores instead of embedding the rows again.
+    set or store vectors are replaced.
     """
     memo = {} if memo is None else memo
-
-    def score(i, shared, store, ts):
-        embedded = _reuse(memo, ("embedded", i), [], (shared, ts),
-                          lambda: embed(shared, ts.inputs)) if len(ts) else None
-        return accuracy_prototypes(shared, store, ts, embedded=embedded)
-
     values, members = [], []
     for i, ((shared, store), ts) in enumerate(zip(models, test_sets)):
         if isinstance(store, frozenset):
@@ -256,7 +246,7 @@ def acc_local(
             continue
         classes = sorted(store)
         values.append(_reuse(memo, i, classes, (shared, ts, *(store[c] for c in classes)),
-                             lambda: score(i, shared, store, ts)))
+                             lambda: accuracy_prototypes(shared, store, ts)))
     if members:
         for (i, *_), value in zip(members, _score_block(members, global_protos or {}, memo)):
             values[i] = value

@@ -56,11 +56,11 @@ class OptimizerConfig:
     batch_size: int = 32
 
     def __post_init__(self) -> None:
-        require(not self.step_size < 0, "step_size", f"must be non-negative, got {self.step_size}")
+        require(self.step_size >= 0, "step_size", f"must be non-negative, got {self.step_size}")
         require(self.shared_epochs >= 1, "shared_epochs",
                 f"must be positive, got {self.shared_epochs}")
         require(self.head_epochs >= 1, "head_epochs", f"must be positive, got {self.head_epochs}")
-        require(not self.weight_decay < 0, "weight_decay",
+        require(self.weight_decay >= 0, "weight_decay",
                 f"must be non-negative, got {self.weight_decay}")
         require(self.batch_size >= 1, "batch_size", f"must be positive, got {self.batch_size}")
 
@@ -80,7 +80,7 @@ class LossWeights:
     def __post_init__(self) -> None:
         require(0.0 <= self.relation_mix <= 1.0, "relation_mix",
                 f"must be in [0, 1], got {self.relation_mix}")
-        require(not self.temperature <= 0, "temperature",
+        require(self.temperature > 0, "temperature",
                 f"must be positive, got {self.temperature}")
 
     @property

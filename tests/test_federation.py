@@ -488,6 +488,37 @@ class TestRunExperiment:
                 recomputed.append(acc_local_softmax([clients[c].params for c in order], test_sets))
         assert logged == recomputed
 
+    @pytest.mark.parametrize("seed, num_clients, samples_per_class, rounds", [
+        *((seed, 20, 100, 4) for seed in range(5)),  # desk
+        (0, 500, 5000, 3),  # desk with population's clients and samples
+    ])
+    def test_trained_lp_client_predicts_with_its_own_store(
+        self, seed, num_clients, samples_per_class, rounds
+    ):
+        # Every class of a timeline has a training row in some stage, and a
+        # selected client trains every non-empty stage of the round. So once
+        # a client has trained, its lp store is its local store, with no
+        # global fallback, and A_loc's inputs change only when it trains.
+        desk = parse_config(DESK)
+        config = replace(
+            desk, seed=seed, rounds=rounds,
+            dataset=replace(desk.dataset, samples_per_class=samples_per_class),
+            plan=replace(desk.plan, num_clients=num_clients),
+        )
+        assert config.inference_mode == "lp"
+        server, clients = initialize_experiment(config)
+        initial = server.shared
+        for round_index in range(1, rounds + 1):
+            run_round(server, clients, config, round_index)
+            trained = [c for c in clients.values() if c.params.shared is not initial]
+            assert trained
+            for client in trained:
+                scope = client.timeline.classes
+                assert set(client.local_protos) == scope
+                store = inference_store(client.local_protos, server.global_protos, "lp", scope)
+                assert store.keys() == client.local_protos.keys()
+                assert all(store[c] is client.local_protos[c] for c in store)
+
     @pytest.mark.parametrize(
         "algorithm, mode",
         [("GLDP", "lp"), ("GLDP", "gp"), ("FedAvg", "lp"), ("FedRep", "lp"), ("FedProx", "lp")],
@@ -800,6 +831,18 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             tiny_config(seed=-1)
+
+    @pytest.mark.parametrize("build, name", [
+        (OptimizerConfig, "step_size"),
+        (OptimizerConfig, "weight_decay"),
+        (LossWeights, "temperature"),
+        (tiny_config, "fedprox_coeff"),
+    ])
+    def test_nan_setting_is_rejected(self, build, name):
+        # NaN fails every comparison, so each range check must be one that NaN fails.
+        with pytest.raises(ConfigError, match=rf"^{name} must be .*, got nan$") as caught:
+            build(**{name: float("nan")})
+        assert caught.value.field == name
 
     def test_with_seed_rekeys_nested_components(self):
         def partition(seed):

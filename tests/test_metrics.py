@@ -528,18 +528,6 @@ class TestALocMemo:
         monkeypatch.setattr(metrics, "embed", counting)
         return seen
 
-    def test_replaced_store_vector_rescores_the_held_embedding(self, computed, embedded):
-        models, data = self.prototype_clients()
-        memo = {}
-        acc_local(models, data, memo=memo)
-        assert len(embedded) == 3
-        computed.clear()
-        shared, store = models[2]
-        models[2] = (shared, {**store, 1: np.array([2.0, 0.0])})
-        acc_local(models, data, memo=memo)
-        assert self.scored(computed, data[2])
-        assert len(embedded) == 3
-
     def test_replaced_shared_layer_or_test_set_embeds_again(self, embedded):
         models, data = self.prototype_clients()
         memo = {}
