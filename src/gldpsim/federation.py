@@ -385,19 +385,16 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
     a_loc_memo: dict = {}  # this run's A_loc values; only selected clients retrain
     a_glo_memo: dict = {}  # the size groups A_glo scores, fixed for the run
 
-    def store(client: ClientState) -> dict[int, np.ndarray]:
-        """The store a GLDP client predicts with; its scope is every class it holds."""
-        return inference_store(
-            client.local_protos, server.global_protos, config.inference_mode,
-            scope=client.timeline.classes,
-        )
-
     def local_model(client: ClientState) -> tuple:
-        """``(shared, store)``; a never-trained client gives its scope instead,
-        and ``acc_local`` scores those with the global store as one block."""
-        if client.params.shared is not initial:  # only an update gives local prototypes
-            return client.params.shared, store(client)
-        return initial, every_class if config.inference_mode == "gp" else client.timeline.classes
+        """``(shared, store)``, or ``(shared, scope)`` for a client that predicts with the
+        global store: every client under ``gp``, a never-trained one under ``lp``.
+        ``acc_local`` scores those as one block. A trained ``lp`` client's store is its
+        local store: every class it holds has a local prototype."""
+        if config.inference_mode == "gp":
+            return client.params.shared, every_class
+        if client.params.shared is initial:  # only an update gives local prototypes
+            return initial, client.timeline.classes
+        return client.params.shared, client.local_protos
 
     def log(round_index: int, stage_index: int, metric: str, values: dict) -> None:
         """One row per client, then the ALL mean when there is any."""
@@ -414,9 +411,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
             for cid in participants:
                 client = clients[cid]
                 if algorithm == "GLDP":
-                    value = acc_sel_prototypes(
-                        client.params.shared, store(client), client.timeline, stage_index
-                    )
+                    store = inference_store(client.local_protos, server.global_protos,
+                                            config.inference_mode, scope=client.timeline.classes)
+                    value = acc_sel_prototypes(client.params.shared, store, client.timeline, stage_index)
                 else:
                     value = acc_sel_softmax(client.params, client.timeline, stage_index)
                 if value is not None:

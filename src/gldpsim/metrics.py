@@ -127,7 +127,7 @@ def acc_global(
     object.
     """
     memo = {} if memo is None else memo
-    groups = _reuse(memo, "groups", [], tuple(test_sets), lambda: _size_groups(test_sets))
+    groups = _reuse(memo, "groups", tuple(test_sets), lambda: _size_groups(test_sets))
     if not groups:
         return _mean([])
     embedded = np.concatenate([embed(shared, inputs).reshape(labels.size, -1)
@@ -154,7 +154,7 @@ def acc_global_softmax(
     per array).
     """
     memo = {} if memo is None else memo
-    groups = _reuse(memo, "groups", [], tuple(test_sets), lambda: _size_groups(test_sets))
+    groups = _reuse(memo, "groups", tuple(test_sets), lambda: _size_groups(test_sets))
     if not groups:
         return _mean([])
     if all(head is heads[0] for head in heads):
@@ -171,47 +171,48 @@ def acc_global_softmax(
     return _group_mean(groups, hits, len(test_sets))
 
 
-def _reuse(memo: dict, key, classes: list[int], inputs: tuple, compute):
+def _reuse(memo: dict, key, inputs: tuple, compute):
     """The value held under ``key``, or ``compute()`` (then held) if an input changed.
 
-    Inputs are unchanged when ``classes`` equals the held list and every
-    object in ``inputs`` *is* the held one. That is sound because nothing
-    writes into a parameter, prototype vector or test set once made (the
-    write rule in :mod:`gldpsim.federation`); holding the inputs keeps their
-    ids from being reused.
+    Inputs are unchanged when every object in ``inputs`` *is* the held one.
+    That is sound because nothing writes into a parameter, prototype store
+    or test set once made (the write rule in :mod:`gldpsim.federation`);
+    holding the inputs keeps their ids from being reused.
     """
     held = memo.get(key)
-    if (held is None or held[0] != classes or len(held[1]) != len(inputs)
-            or any(a is not b for a, b in zip(held[1], inputs))):
-        held = memo[key] = (classes, inputs, compute())
-    return held[2]
+    if held is None or len(held[0]) != len(inputs) or any(a is not b for a, b in zip(held[0], inputs)):
+        held = memo[key] = (inputs, compute())
+    return held[1]
 
 
 def _score_block(members: list[tuple], global_protos: dict[int, np.ndarray], memo: dict) -> list:
-    """Hit rate, or None for an empty store, of each ``(position, shared, test
-    set, scope)`` in ``members`` (test sets not empty) with the ``global_protos`` of its scope.
+    """Hit rate, or None when its scope holds no global class, of each ``(position, shared,
+    test set, scope)`` in ``members`` (test sets not empty) with the ``global_protos`` of its scope.
 
-    ``memo["block"]`` holds the members' embedded rows, labels, sizes and scope mask;
-    leavers drop their rows, a new or changed member rebuilds it. Every row is scored
-    by :func:`~gldpsim.prototypes.nearest` over the ascending classes of its scope, the
-    routine :func:`predict_batch` calls, so ties break to the lowest class, as there.
+    ``memo["block"]`` holds one entry per member, ``(position, shared, test set, scope,
+    embedded rows, scope classes)``. A member keeps its entry while its shared layer, test
+    set and scope are the held objects; any other member is embedded alone, and members that
+    leave are dropped. Each call assembles the entries into one block (rows, labels, sizes
+    and a rows x classes scope mask): the block changes almost every round, so it is not
+    held. Every row is scored by :func:`~gldpsim.prototypes.nearest` over the ascending
+    classes of its scope, the routine :func:`predict_batch` calls, so ties break to the
+    lowest class, as there.
     """
-    held = memo.get("block")
-    index = {(i, id(a), id(b), s): k for k, (i, a, b, s) in enumerate(held[0] if held else ())}
-    keep = [index.get((i, id(a), id(b), s)) for i, a, b, s in members]
-    if None in keep:
-        sizes = np.array([len(m[2]) for m in members])
-        embedded = np.empty((sizes.sum(), members[0][1].weight.shape[1]))
-        for m, end in zip(members, np.cumsum(sizes).tolist()):  # no second copy of the rows
-            embedded[end - len(m[2]):end] = embed(m[1], m[2].inputs)
-        width = 1 + max((c for m in members for c in m[3]), default=-1)
-        held = (members, embedded, np.concatenate([m[2].labels for m in members]), sizes,
-                np.repeat([[c in m[3] for c in range(width)] for m in members], sizes, axis=0))
-    elif len(keep) < len(held[0]):
-        kept = np.isin(np.arange(len(held[0])), keep)
-        rows = np.repeat(kept, held[3])
-        held = (members, held[1][rows], held[2][rows], held[3][kept], held[4][rows])
-    _, embedded, labels, sizes, mask = memo["block"] = held
+    held = {e[0]: e for e in memo.get("block", ())}
+    entries = []
+    for i, shared, ts, scope in members:
+        e = held.get(i)
+        if e is None or e[1] is not shared or e[2] is not ts or e[3] is not scope:
+            e = (i, shared, ts, scope, embed(shared, ts.inputs), np.fromiter(scope, np.intp, len(scope)))
+        entries.append(e)
+    memo["block"] = entries
+    sizes = np.array([len(e[2]) for e in entries])
+    scopes = np.concatenate([e[5] for e in entries])
+    mask = np.zeros((len(entries), 1 + scopes.max(initial=-1)), dtype=bool)
+    mask[np.repeat(np.arange(len(entries)), [len(e[5]) for e in entries]), scopes] = True
+    mask = np.repeat(mask, sizes, axis=0)
+    embedded = np.concatenate([e[4] for e in entries])
+    labels = np.concatenate([e[2].labels for e in entries])
     classes = [c for c in sorted(global_protos) if c < mask.shape[1]]
     if not classes:
         return [None] * len(members)
@@ -231,11 +232,11 @@ def acc_local(
     """Mean accuracy of each personalized model on its own test data.
 
     A model is ``(shared, store)``, or ``(shared, scope)`` for a client whose
-    store is the ``global_protos`` vectors of the frozenset ``scope`` (a
-    never-trained GLDP client): :func:`_score_block` scores those as one block.
-    Clients whose resolved store is empty are skipped. ``memo`` carries each
-    other position's value to the next call, until its shared layer, test
-    set or store vectors are replaced.
+    store is the ``global_protos`` vectors of the frozenset ``scope``:
+    :func:`_score_block` scores those as one block. Clients whose resolved
+    store is empty are skipped. ``memo`` carries each other position's value
+    to the next call, until its shared layer, test set or store dict is
+    replaced.
     """
     memo = {} if memo is None else memo
     values, members = [], []
@@ -244,9 +245,7 @@ def acc_local(
             values.append(None)
             members += [(i, shared, ts, store)] if len(ts) else []
             continue
-        classes = sorted(store)
-        values.append(_reuse(memo, i, classes, (shared, ts, *(store[c] for c in classes)),
-                             lambda: accuracy_prototypes(shared, store, ts)))
+        values.append(_reuse(memo, i, (shared, ts, store), lambda: accuracy_prototypes(shared, store, ts)))
     if members:
         for (i, *_), value in zip(members, _score_block(members, global_protos or {}, memo)):
             values[i] = value
@@ -261,7 +260,7 @@ def acc_local_softmax(
 ) -> float:
     """Mean softmax accuracy of each client's own model; ``memo`` as in :func:`acc_local`."""
     memo = {} if memo is None else memo
-    return _mean([_reuse(memo, i, [], (p, ts), lambda: accuracy_softmax(p, ts))
+    return _mean([_reuse(memo, i, (p, ts), lambda: accuracy_softmax(p, ts))
                   for i, (p, ts) in enumerate(zip(params_per_client, test_sets))])
 
 

@@ -12,8 +12,10 @@ for GLDP and FedRep, the stage sets of the population-size partition
 (desk with 500 clients and 5000 samples per class, seed 0), that
 population's 10-round GLDP CSV under lp and under gp inference, and the
 desk GLDP CSV at ``kl_temperature = 0.05``, seed 0: 55 lines.
-Digests hold on one platform only. pytest does not collect this file; a
-run takes about half a minute.
+The 47 lines that are not message dumps are portable across BLAS kernels
+and are committed in ``tests/identity.expected``; the dump lines hold on
+one platform only. pytest does not collect this file; a run takes about
+half a minute.
 """
 
 from __future__ import annotations

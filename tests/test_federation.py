@@ -10,7 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gldpsim import federation
+from gldpsim import federation, metrics
 from gldpsim.cli import parse_config
 from gldpsim.datagen import DatasetSpec, PartitionPlan
 from gldpsim.errors import ConfigError, DataError, ProtocolError, SimulationError
@@ -47,6 +47,7 @@ from oracles import (
     reference_message_line,
     reference_run_experiment,
 )
+from test_datagen import longtail_tiny_plans, tiny_plans
 from trend_runs import cached_run, select
 
 DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
@@ -354,6 +355,24 @@ class TestBaselineUpdate:
         assert not np.array_equal(gldp.shared.weight, fedrep.shared.weight)
 
 
+def assert_trained_lp_stores_are_local(config: ExperimentConfig) -> None:
+    """After every round, each trained client's lp store is its local store:
+    a local prototype for every class of its scope, so no global fallback."""
+    assert config.inference_mode == "lp"
+    server, clients = initialize_experiment(config)
+    initial = server.shared
+    for round_index in range(1, config.rounds + 1):
+        run_round(server, clients, config, round_index)
+        trained = [c for c in clients.values() if c.params.shared is not initial]
+        assert trained
+        for client in trained:
+            scope = client.timeline.classes
+            assert set(client.local_protos) == scope
+            store = inference_store(client.local_protos, server.global_protos, "lp", scope)
+            assert store.keys() == client.local_protos.keys()
+            assert all(store[c] is client.local_protos[c] for c in store)
+
+
 @st.composite
 def tiny_configs(draw) -> ExperimentConfig:
     """Valid tiny configs; some cannot be partitioned."""
@@ -505,19 +524,20 @@ class TestRunExperiment:
             dataset=replace(desk.dataset, samples_per_class=samples_per_class),
             plan=replace(desk.plan, num_clients=num_clients),
         )
-        assert config.inference_mode == "lp"
-        server, clients = initialize_experiment(config)
-        initial = server.shared
-        for round_index in range(1, rounds + 1):
-            run_round(server, clients, config, round_index)
-            trained = [c for c in clients.values() if c.params.shared is not initial]
-            assert trained
-            for client in trained:
-                scope = client.timeline.classes
-                assert set(client.local_protos) == scope
-                store = inference_store(client.local_protos, server.global_protos, "lp", scope)
-                assert store.keys() == client.local_protos.keys()
-                assert all(store[c] is client.local_protos[c] for c in store)
+        assert_trained_lp_stores_are_local(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec_plan_seed=st.one_of(tiny_plans(), longtail_tiny_plans()), data=st.data())
+    def test_trained_lp_client_predicts_with_its_own_store_on_tiny_plans(self, spec_plan_seed, data):
+        # Every partition regime, long-tailed ones too, where a tail class
+        # can leave stage parts and whole stages without training rows.
+        spec, plan, seed = spec_plan_seed
+        config = replace(parse_config(DESK), seed=seed, rounds=2, dataset=spec, plan=plan,
+                         clients_per_round=data.draw(st.integers(1, plan.num_clients)))
+        try:
+            assert_trained_lp_stores_are_local(config)
+        except (ConfigError, DataError) as exc:  # the plan cannot be partitioned
+            event(f"raised {type(exc).__name__}")
 
     @pytest.mark.parametrize(
         "algorithm, mode",
@@ -544,6 +564,38 @@ class TestRunExperiment:
         event("ran" if isinstance(logged, list) else f"raised {logged[0].__name__}")
         assert logged == rows(reference_run_experiment)
 
+    def test_gp_a_loc_embeds_as_often_as_lp_and_scores_in_the_block(self, monkeypatch):
+        # Under gp every client predicts with the global store, which is new
+        # every round, so every client joins A_loc's block and is embedded
+        # again only when it trains, as under lp; none is scored on its own.
+        counts, inside = {}, [False]
+        for name in ("embed", "predict_batch", "accuracy_prototypes"):
+            def counting(*args, _name=name, _original=getattr(metrics, name), **kwargs):
+                if inside[0]:
+                    counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counting)
+
+        def scoring(*args, _original=federation.acc_local, **kwargs):
+            inside[0] = True
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(federation, "acc_local", scoring)
+        desk = replace(parse_config(DESK), rounds=3)
+        for seed in (0, 1, 2):
+            per_mode = {}
+            for mode in ("lp", "gp"):
+                counts.clear()
+                run_experiment(replace(desk, inference_mode=mode).with_seed(seed))
+                per_mode[mode] = dict(counts)
+            assert "predict_batch" not in per_mode["gp"]
+            assert "accuracy_prototypes" not in per_mode["gp"]
+            assert per_mode["gp"]["embed"] == per_mode["lp"]["embed"] > 0
+
     def test_memoized_a_glo_equals_reference_each_round(self):
         # One memo over six desk rounds: it holds the same scored rows from
         # the first round on, and every value equals the per-client oracle's.
@@ -561,8 +613,8 @@ class TestRunExperiment:
 
     def test_metrics_rows_present_and_in_range(self):
         mlog = run_experiment(tiny_config())
-        metrics = {r.metric for r in mlog.rows}
-        assert {A_GLOBAL, A_LOCAL, A_SELECTED} <= metrics
+        names = {r.metric for r in mlog.rows}
+        assert {A_GLOBAL, A_LOCAL, A_SELECTED} <= names
         assert all(0.0 <= r.value <= 1.0 for r in mlog.rows)
 
     def test_deterministic_repeat(self):

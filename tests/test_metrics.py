@@ -419,6 +419,19 @@ class TestAccLocal:
             acc_local(models, [data, empty])
 
 
+@pytest.fixture
+def embedded(monkeypatch):
+    """(shared, inputs) of each ``metrics.embed`` call, in order."""
+    seen = []
+
+    def counting(shared, x, _original=metrics.embed):
+        seen.append((shared, x))
+        return _original(shared, x)
+
+    monkeypatch.setattr(metrics, "embed", counting)
+    return seen
+
+
 class TestALocMemo:
     """The memo reuses a client's value only while each input is the held object."""
 
@@ -516,18 +529,6 @@ class TestALocMemo:
         assert again == first
         assert self.scored(computed, data[0], data[1], softmax_data[2])
 
-    @pytest.fixture
-    def embedded(self, monkeypatch):
-        """(shared, inputs) of each ``metrics.embed`` call, in order."""
-        seen = []
-
-        def counting(shared, x, _original=metrics.embed):
-            seen.append((shared, x))
-            return _original(shared, x)
-
-        monkeypatch.setattr(metrics, "embed", counting)
-        return seen
-
     def test_replaced_shared_layer_or_test_set_embeds_again(self, embedded):
         models, data = self.prototype_clients()
         memo = {}
@@ -588,10 +589,14 @@ def block_calls(draw):
     Each call is ``(models, test_sets, global store, resolved models)``.
     A client starts never-trained, with the one initial layer and a scope
     (lp: a random class set, which may hold no global class; gp: every
-    class), or trained, with its own layer and resolved store; between
-    calls, never-trained clients may train and leave the block, and test
-    sets may be replaced. Global stores hold twin vectors (exact ties) and
-    may sit near 1e200, where every squared gap overflows to inf.
+    class), or trained, with its own layer and resolved store. Under gp a
+    trained client may give every class as its scope instead, as
+    ``run_experiment`` does, so it joins the block with its own layer.
+    Between calls, clients may train, which replaces their layer (a
+    never-trained client leaves the block, a block member's layer is
+    replaced), and test sets may be replaced. Global stores hold twin
+    vectors (exact ties) and may sit near 1e200, where every squared gap
+    overflows to inf.
     """
     mode = draw(st.sampled_from(["lp", "gp"]))
     num_classes, dim = draw(st.integers(2, 6)), draw(st.integers(1, 5))
@@ -617,6 +622,7 @@ def block_calls(draw):
     trained = {i: (layer(), vectors(class_set(), 1.0))
                for i in range(count) if draw(st.booleans())}
     scopes = [every_class if mode == "gp" else class_set() for _ in range(count)]
+    trained_in_block = mode == "gp" and draw(st.booleans())
     calls = []
     for _ in range(draw(st.integers(1, 4))):
         glob = vectors(class_set(), draw(st.sampled_from([1.0, 1.0, 1e200])))
@@ -626,7 +632,7 @@ def block_calls(draw):
         for i in range(count):
             if i in trained:
                 store = glob if mode == "gp" else trained[i][1]
-                models.append((trained[i][0], store))
+                models.append((trained[i][0], every_class if trained_in_block else store))
                 resolved.append((trained[i][0], store))
             else:
                 models.append((initial, scopes[i]))
@@ -641,7 +647,7 @@ def block_calls(draw):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestALocBlock:
-    """Never-trained clients, given as scopes, are scored as one block."""
+    """Clients given as scopes (never-trained ones, every gp client) are scored as one block."""
 
     @settings(max_examples=300, deadline=None)
     @given(block_calls())
@@ -659,11 +665,45 @@ class TestALocBlock:
             members = [(shared, ts) for (shared, store), ts in zip(models, test_sets)
                        if isinstance(store, frozenset) and len(ts)]
             if members:
-                held, embedded = memo["block"][0], memo["block"][1]
+                held = memo["block"]
                 assert [(id(m[1]), id(m[2])) for m in held] == [(id(a), id(b)) for a, b in members]
-                assert len(embedded) == sum(len(ts) for _, ts in members)
+                assert sum(len(m[4]) for m in held) == sum(len(ts) for _, ts in members)
             else:
                 assert "block" not in memo
+
+    @staticmethod
+    def trained_gp_block():
+        """Three gp clients with their own layers, each scoped to every class."""
+        rng = np.random.default_rng(5)
+        data = [labeled(rng.standard_normal((4, 2)), rng.integers(0, 3, 4)) for _ in range(3)]
+        every_class = frozenset(range(3))
+        models = [(LayerParams(rng.standard_normal((2, 2)), np.zeros(2)), every_class)
+                  for _ in range(3)]
+        return models, data, {c: rng.standard_normal(2) for c in range(3)}
+
+    def test_a_replaced_shared_layer_embeds_that_member_only(self, embedded):
+        # A gp client that trains keeps its place in the block with a new layer,
+        # and the global store is new every round.
+        models, data, glob = self.trained_gp_block()
+        memo = {}
+        acc_local(models, data, global_protos=glob, memo=memo)
+        embedded.clear()
+        glob = {c: v + 0.5 for c, v in glob.items()}
+        models[1] = (models[1][0].copy(), models[1][1])
+        value = acc_local(models, data, global_protos=glob, memo=memo)
+        assert len(embedded) == 1
+        assert embedded[0][0] is models[1][0] and embedded[0][1] is data[1].inputs
+        assert value == acc_local(models, data, global_protos=glob)
+
+    def test_a_leaving_member_is_dropped(self, embedded):
+        models, data, glob = self.trained_gp_block()
+        memo = {}
+        acc_local(models, data, global_protos=glob, memo=memo)
+        models[0] = (models[0][0], glob)  # scored with its own store, outside the block
+        value = acc_local(models, data, global_protos=glob, memo=memo)
+        assert [m[0] for m in memo["block"]] == [1, 2]
+        assert len(embedded) == 4  # three block members, then member 0 alone
+        assert value == acc_local(models, data, global_protos=glob)
 
     def test_ties_break_to_the_lowest_class(self):
         # Classes 1 and 3 share a vector; class 0 lies out of scope, nearer.
